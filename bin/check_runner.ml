@@ -1,367 +1,53 @@
-(* check_runner: the schedule-space differential checker.
+(* check_runner: the differential checker. Each mode is a sweep, or the
+   replay of one repro line a sweep printed:
 
-   Two modes:
-
-   - sweep (default): enumerate apps x graphs x the schedule cross-product
-     x worker counts under a time budget, judge every point against the
-     sequential oracles, and print a machine-readable JSON summary on
-     stdout. Failures are shrunk and come with paste-able repro lines
-     (also written to --failures FILE for CI artifacts).
-
-   - repro: --app/--graph/--schedule re-run exactly one configuration
-     (the syntax printed in repro lines) and report pass/fail.
-
+   - default: apps x graphs x substrate variants x the schedule grid x
+     worker counts, judged against the sequential oracles;
+     --app/--graph/--schedule replays one configuration.
+   - --dynamic: random delta batches, incremental vs from-scratch SSSP;
+     --graph/--schedule/--batches replays one.
+   - --dsl: generated DSL programs through the reference, engine and
+     compiled lanes (docs/TESTING.md); --program/--graph/--schedule
+     replays one.
    - query repro: --app/--graph-file/--source/--target (or --vertex)
-     re-run one service query from a slow-query log line against the
-     graph *file* the server loaded (docs/OBSERVABILITY.md).
+     replays one service query from a slow-query record
+     (docs/OBSERVABILITY.md).
 
-   - dsl sweep: --dsl generate seeded DSL programs and run each through
-     the reference interpreter, the scheduled engine, and (when a C++
-     toolchain is detected) the generated-C++ lane across the schedule
-     grid, shrinking failures over both programs and graphs
-     (docs/TESTING.md). With --program/--graph/--schedule: replay one
-     failing configuration.
-
-   Exit codes: 0 = clean; 1 = oracle mismatch or race finding; 2 = bad
-   command line. *)
+   A sweep prints a JSON summary on stdout; its failures are shrunk and
+   come with repro lines (also in --failures FILE). Exit codes: 0 = clean;
+   1 = oracle mismatch or race finding; 2 = bad command line. *)
 
 open Cmdliner
-module Json = Support.Json
+module Harness = Check.Harness
 module Sweep = Check.Sweep
 module Dynamic = Check.Dynamic
 module Graph_case = Check.Graph_case
 module Dsl_case = Check.Dsl_case
 module Dsl_sweep = Check.Dsl_sweep
+module Schedule = Ordered.Schedule
+
+let usage msg =
+  Printf.eprintf "check_runner: %s\n" msg;
+  exit 2
 
 let parse_or_exit what = function
   | Ok v -> v
-  | Error msg ->
-      Printf.eprintf "check_runner: bad %s: %s\n" what msg;
-      exit 2
+  | Error msg -> usage (Printf.sprintf "bad %s: %s" what msg)
 
 let parse_workers s =
   String.split_on_char ',' s
   |> List.map (fun w ->
          match int_of_string_opt (String.trim w) with
          | Some n when n >= 1 -> n
-         | _ ->
-             Printf.eprintf "check_runner: bad worker count %S\n" w;
-             exit 2)
+         | _ -> usage (Printf.sprintf "bad worker count %S" w))
 
 let parse_apps s =
   String.split_on_char ',' s
   |> List.map (fun a -> parse_or_exit "app" (Sweep.app_of_string (String.trim a)))
 
-let failure_json (f : Sweep.failure) =
-  let v = f.config.Sweep.variant in
-  Json.Obj
-    [
-      ("app", Json.String (Sweep.app_to_string f.config.Sweep.app));
-      ("graph", Json.String (Graph_case.to_string f.config.Sweep.spec));
-      ("schedule", Json.String (Sweep.schedule_to_string f.config.Sweep.schedule));
-      ("workers", Json.Int f.config.Sweep.workers);
-      ("layout", Json.String (Graphs.Layout.kind_to_string v.Sweep.layout));
-      ("reorder", Json.String (Graphs.Reorder.kind_to_string v.Sweep.reorder));
-      ("bin_roundtrip", Json.Bool v.Sweep.bin_roundtrip);
-      ("message", Json.String f.message);
-      ( "shrunk",
-        match f.shrunk with
-        | None -> Json.Null
-        | Some spec -> Json.String (Graph_case.to_string spec) );
-      ("repro", Json.String f.repro);
-    ]
-
-let summary_json ~seed (s : Sweep.summary) =
-  Json.Obj
-    [
-      ("seed", Json.Int seed);
-      ("configs_run", Json.Int s.configs_run);
-      ( "per_app",
-        Json.Obj
-          (List.map
-             (fun (app, n) -> (Sweep.app_to_string app, Json.Int n))
-             s.per_app) );
-      ("failures", Json.List (List.map failure_json s.failures));
-      ("race_findings", Json.Int s.race_findings);
-      ("elapsed_seconds", Json.Float s.elapsed_seconds);
-      ("budget_exhausted", Json.Bool s.budget_exhausted);
-    ]
-
-let run_repro ~seed ~chaos ~race ~workers ~variant app graph schedule =
-  let app = parse_or_exit "app" (Sweep.app_of_string app) in
-  let spec = parse_or_exit "graph spec" (Graph_case.of_string graph) in
-  let schedule = parse_or_exit "schedule" (Sweep.schedule_of_string schedule) in
-  let case = Graph_case.build spec in
-  if chaos then Parallel.Chaos.enable ~seed;
-  if race then begin
-    Parallel.Race.clear ();
-    Parallel.Race.enable ()
-  end;
-  let failed = ref false in
-  List.iter
-    (fun w ->
-      Parallel.Pool.with_pool ~num_workers:w (fun pool ->
-          match Sweep.run_one ~variant ~pool app case schedule with
-          | Ok () -> Printf.printf "ok: %d workers\n" w
-          | Error msg ->
-              failed := true;
-              Printf.printf "FAIL: %d workers: %s\n" w msg))
-    workers;
-  let findings = if race then Parallel.Race.num_findings () else 0 in
-  if findings > 0 then begin
-    failed := true;
-    Printf.printf "race findings: %d\n" findings;
-    List.iter
-      (fun f -> Format.printf "  %a@." Parallel.Race.pp_finding f)
-      (Parallel.Race.findings ())
-  end;
-  if !failed then exit 1
-
-let dynamic_failure_json (f : Dynamic.failure) =
-  Json.Obj
-    [
-      ("graph", Json.String (Graph_case.to_string f.config.Dynamic.spec));
-      ( "schedule",
-        Json.String (Sweep.schedule_to_string f.config.Dynamic.schedule) );
-      ("workers", Json.Int f.config.Dynamic.workers);
-      ("batches", Json.String (Dynamic.batches_to_string f.config.Dynamic.batches));
-      ("step", Json.Int f.step);
-      ("message", Json.String f.message);
-      ("repro", Json.String f.repro);
-    ]
-
-let dynamic_summary_json ~seed (s : Dynamic.summary) =
-  Json.Obj
-    [
-      ("mode", Json.String "dynamic");
-      ("seed", Json.Int seed);
-      ("configs_run", Json.Int s.configs_run);
-      ("failures", Json.List (List.map dynamic_failure_json s.failures));
-      ("race_findings", Json.Int s.race_findings);
-      ("elapsed_seconds", Json.Float s.elapsed_seconds);
-      ("budget_exhausted", Json.Bool s.budget_exhausted);
-    ]
-
-let run_dynamic_sweep ~seed ~budget ~chaos ~race ~workers ~max_failures
-    ~json_path ~failures_path =
-  let summary =
-    Dynamic.run ~workers ~budget ~seed ~max_failures ~chaos ~race
-      ~log:prerr_endline ()
-  in
-  let json = dynamic_summary_json ~seed summary in
-  print_endline (Json.to_string json);
-  Option.iter
-    (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          Format.fprintf (Format.formatter_of_out_channel oc) "%a@?" Json.pp json))
-    json_path;
-  Option.iter
-    (fun path ->
-      if summary.Dynamic.failures <> [] then
-        Out_channel.with_open_text path (fun oc ->
-            List.iter
-              (fun (f : Dynamic.failure) ->
-                Printf.fprintf oc "step %d: %s\n  %s\n" f.step f.message f.repro)
-              summary.Dynamic.failures))
-    failures_path;
-  if summary.Dynamic.failures <> [] || summary.Dynamic.race_findings > 0 then
-    exit 1
-
-let run_dynamic_repro ~seed ~chaos ~race ~workers graph schedule batches =
-  let spec = parse_or_exit "graph spec" (Graph_case.of_string graph) in
-  let schedule = parse_or_exit "schedule" (Sweep.schedule_of_string schedule) in
-  let batches = parse_or_exit "batches" (Dynamic.batches_of_string batches) in
-  if chaos then Parallel.Chaos.enable ~seed;
-  if race then begin
-    Parallel.Race.clear ();
-    Parallel.Race.enable ()
-  end;
-  let failed = ref false in
-  List.iter
-    (fun w ->
-      Parallel.Pool.with_pool ~num_workers:w (fun pool ->
-          let config = { Dynamic.spec; schedule; workers = w; batches } in
-          match Dynamic.run_config ~pool config with
-          | Ok () -> Printf.printf "ok: %d workers\n" w
-          | Error (step, msg) ->
-              failed := true;
-              Printf.printf "FAIL: %d workers: step %d: %s\n" w step msg))
-    workers;
-  let findings = if race then Parallel.Race.num_findings () else 0 in
-  if findings > 0 then begin
-    failed := true;
-    Printf.printf "race findings: %d\n" findings;
-    List.iter
-      (fun f -> Format.printf "  %a@." Parallel.Race.pp_finding f)
-      (Parallel.Race.findings ())
-  end;
-  if !failed then exit 1
-
-let dsl_failure_json (f : Dsl_sweep.failure) =
-  Json.Obj
-    [
-      ("program", Json.String (Dsl_case.to_string f.config.Dsl_sweep.spec));
-      ("graph", Json.String (Graph_case.to_string f.config.Dsl_sweep.graph));
-      ( "schedule",
-        Json.String (Sweep.schedule_to_string f.config.Dsl_sweep.schedule) );
-      ("workers", Json.Int f.config.Dsl_sweep.workers);
-      ("bug", Json.String (Dsl_sweep.bug_to_string f.config.Dsl_sweep.bug));
-      ("lane", Json.String f.lane);
-      ("message", Json.String f.message);
-      ( "shrunk_program",
-        match f.shrunk_program with
-        | None -> Json.Null
-        | Some spec -> Json.String (Dsl_case.to_string spec) );
-      ( "shrunk_graph",
-        match f.shrunk_graph with
-        | None -> Json.Null
-        | Some spec -> Json.String (Graph_case.to_string spec) );
-      ("repro", Json.String f.repro);
-    ]
-
-let dsl_summary_json ~seed (s : Dsl_sweep.summary) =
-  Json.Obj
-    [
-      ("mode", Json.String "dsl");
-      ("seed", Json.Int seed);
-      ("programs", Json.Int s.programs);
-      ("configs_run", Json.Int s.configs_run);
-      ("compiled_runs", Json.Int s.compiled_runs);
-      ( "toolchain",
-        match s.toolchain with
-        | None -> Json.Null
-        | Some name -> Json.String name );
-      ("failures", Json.List (List.map dsl_failure_json s.failures));
-      ("race_findings", Json.Int s.race_findings);
-      ("elapsed_seconds", Json.Float s.elapsed_seconds);
-      ("budget_exhausted", Json.Bool s.budget_exhausted);
-    ]
-
-let run_dsl_sweep ~seed ~budget ~chaos ~race ~workers ~max_failures ~bug
-    ~compiled ~json_path ~failures_path =
-  let summary =
-    Dsl_sweep.run ~workers ~budget ~seed ~max_failures ~chaos ~race ~bug
-      ~compiled ~log:prerr_endline ()
-  in
-  let json = dsl_summary_json ~seed summary in
-  print_endline (Json.to_string json);
-  Option.iter
-    (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          Format.fprintf (Format.formatter_of_out_channel oc) "%a@?" Json.pp json))
-    json_path;
-  Option.iter
-    (fun path ->
-      if summary.Dsl_sweep.failures <> [] then
-        Out_channel.with_open_text path (fun oc ->
-            List.iter
-              (fun (f : Dsl_sweep.failure) ->
-                Printf.fprintf oc "%s lane: %s\n  %s\n" f.lane f.message f.repro)
-              summary.Dsl_sweep.failures))
-    failures_path;
-  if summary.Dsl_sweep.failures <> [] || summary.Dsl_sweep.race_findings > 0
-  then exit 1
-
-let run_dsl_repro ~seed ~chaos ~race ~workers ~bug ~compiled program graph
-    schedule =
-  let spec = parse_or_exit "program spec" (Dsl_case.of_string program) in
-  let gspec = parse_or_exit "graph spec" (Graph_case.of_string graph) in
-  let schedule = parse_or_exit "schedule" (Sweep.schedule_of_string schedule) in
-  let case = Graph_case.build gspec in
-  let toolchain = if compiled then Dsl_sweep.detect_toolchain () else None in
-  (match toolchain with
-  | Some t -> Printf.printf "compiled lane: %s\n" (Dsl_sweep.toolchain_name t)
-  | None -> Printf.printf "compiled lane: unavailable\n");
-  if chaos then Parallel.Chaos.enable ~seed;
-  if race then begin
-    Parallel.Race.clear ();
-    Parallel.Race.enable ()
-  end;
-  let failed = ref false in
-  Parallel.Pool.with_pool ~num_workers:1 (fun ref_pool ->
-      List.iter
-        (fun w ->
-          Parallel.Pool.with_pool ~num_workers:w (fun pool ->
-              match
-                Dsl_sweep.run_one ~bug ?toolchain ~pool ~ref_pool spec case
-                  schedule
-              with
-              | Ok () -> Printf.printf "ok: %d workers\n" w
-              | Error msg ->
-                  failed := true;
-                  Printf.printf "FAIL: %d workers: %s\n" w msg))
-        workers);
-  let findings = if race then Parallel.Race.num_findings () else 0 in
-  if findings > 0 then begin
-    failed := true;
-    Printf.printf "race findings: %d\n" findings;
-    List.iter
-      (fun f -> Format.printf "  %a@." Parallel.Race.pp_finding f)
-      (Parallel.Race.findings ())
-  end;
-  if !failed then exit 1
-
-let run_query_repro ~workers ~symmetric ~source ~target ~vertex app graph_file
-    schedule =
-  let module Qr = Check.Query_repro in
-  let app = parse_or_exit "app" (Qr.app_of_string app) in
-  let schedule = parse_or_exit "schedule" (Sweep.schedule_of_string schedule) in
-  let source, target =
-    match (app, vertex, source, target) with
-    | Qr.Kcore, Some v, _, _ -> (v, -1)
-    | Qr.Kcore, None, Some s, _ -> (s, -1)
-    | Qr.Kcore, None, None, _ ->
-        Printf.eprintf "check_runner: kcore query repro needs --vertex\n";
-        exit 2
-    | _, _, Some s, Some t -> (s, t)
-    | _ ->
-        Printf.eprintf "check_runner: query repro needs --source and --target\n";
-        exit 2
-  in
-  let failed = ref false in
-  List.iter
-    (fun w ->
-      let r =
-        { Qr.app; graph_file; symmetric; source; target; schedule; workers = w }
-      in
-      match Qr.run r with
-      | Ok () -> Printf.printf "ok: %d workers\n" w
-      | Error msg ->
-          failed := true;
-          Printf.printf "FAIL: %d workers: %s\n" w msg)
-    workers;
-  if !failed then exit 1
-
-let run_sweep ~seed ~budget ~chaos ~race ~workers ~max_failures ~apps
-    ~json_path ~failures_path ~variants =
-  let apps =
-    match apps with None -> Sweep.all_apps | Some apps -> parse_apps apps
-  in
-  let summary =
-    Sweep.run ~apps ~variants ~workers ~budget ~seed ~max_failures ~chaos ~race
-      ~log:prerr_endline ()
-  in
-  let json = summary_json ~seed summary in
-  print_endline (Json.to_string json);
-  Option.iter
-    (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          Format.fprintf
-            (Format.formatter_of_out_channel oc)
-            "%a@?" Json.pp json))
-    json_path;
-  Option.iter
-    (fun path ->
-      if summary.Sweep.failures <> [] then
-        Out_channel.with_open_text path (fun oc ->
-            List.iter
-              (fun (f : Sweep.failure) ->
-                Printf.fprintf oc "%s\n  %s\n" f.message f.repro)
-              summary.Sweep.failures))
-    failures_path;
-  if summary.Sweep.failures <> [] || summary.Sweep.race_findings > 0 then
-    exit 1
-
+(* Flag parsing and mode dispatch; every mode ends in Harness.emit (a
+   sweep) or Harness.replay (one configuration), whose result is the exit
+   code. *)
 let main budget seed apps app graph schedule workers chaos race max_failures
     json_path failures_path layout reorder bin graph_file source target vertex
     symmetric dynamic batches dsl program bug no_compiled =
@@ -382,52 +68,99 @@ let main budget seed apps app graph schedule workers chaos race max_failures
       bin_roundtrip = bin;
     }
   in
-  if dsl then begin
+  let spec_of g = parse_or_exit "graph spec" (Graph_case.of_string g) in
+  let schedule_of s = parse_or_exit "schedule" (Schedule.of_string s) in
+  let emit ~headline json summary =
+    Harness.emit ?json_path ?failures_path ~headline json summary
+  in
+  let replay run = Harness.replay ~seed ~chaos ~race ~workers run in
+  let with_pool w f = Parallel.Pool.with_pool ~num_workers:w f in
+  exit
+  @@
+  if dsl then
     match (program, graph, schedule) with
     | Some program, Some graph, Some schedule ->
-        run_dsl_repro ~seed ~chaos ~race ~workers ~bug ~compiled program graph
-          schedule
+        let spec = parse_or_exit "program spec" (Dsl_case.of_string program) in
+        let gspec = spec_of graph in
+        let schedule = schedule_of schedule in
+        let case = Graph_case.build gspec in
+        let toolchain = if compiled then Dsl_sweep.detect_toolchain () else None in
+        Printf.printf "compiled lane: %s\n"
+          (Option.fold ~none:"unavailable" ~some:Dsl_sweep.toolchain_name toolchain);
+        with_pool 1 (fun ref_pool ->
+            replay (fun w ->
+                with_pool w (fun pool ->
+                    Dsl_sweep.run_one ~bug ?toolchain ~pool ~ref_pool spec case schedule
+                    |> Result.map_error (fun (lane, msg) -> Dsl_sweep.headline lane msg))))
     | None, None, None ->
-        run_dsl_sweep ~seed ~budget ~chaos ~race ~workers ~max_failures ~bug
-          ~compiled ~json_path ~failures_path
-    | _ ->
-        Printf.eprintf
-          "check_runner: dsl repro mode needs all of --program, --graph, \
-           --schedule\n";
-        exit 2
-  end
+        let s =
+          Dsl_sweep.run ~workers ~budget ~seed ~max_failures ~chaos ~race ~bug
+            ~compiled ~log:prerr_endline ()
+        in
+        emit ~headline:Dsl_sweep.headline (Dsl_sweep.summary_json ~seed s) s.checks
+    | _ -> usage "dsl repro mode needs all of --program, --graph, --schedule"
   else
-  match (dynamic, graph_file, app, graph, schedule) with
-  | true, None, None, Some graph, Some schedule ->
-      (* Dynamic repro: replay one batch sequence (the syntax of
-         --dynamic repro lines). *)
-      run_dynamic_repro ~seed ~chaos ~race ~workers graph schedule
-        (Option.value ~default:"" batches)
-  | true, None, None, None, None ->
-      run_dynamic_sweep ~seed ~budget ~chaos ~race ~workers ~max_failures
-        ~json_path ~failures_path
-  | false, Some graph_file, Some app, None, Some schedule ->
-      run_query_repro ~workers ~symmetric ~source ~target ~vertex app graph_file
-        schedule
-  | false, None, Some app, Some graph, Some schedule ->
-      run_repro ~seed ~chaos ~race ~workers ~variant app graph schedule
-  | false, None, None, None, None ->
-      (* Sweep mode: with no substrate flags, run the whole default
-         variant axis; with flags, pin the sweep to that one variant. *)
-      let variants =
-        if variant_given then [ variant ] else Sweep.default_variants
-      in
-      run_sweep ~seed ~budget ~chaos ~race ~workers ~max_failures ~apps
-        ~json_path ~failures_path ~variants
-  | _ ->
-      Printf.eprintf
-        "check_runner: repro mode needs all of --app, --graph, --schedule; \
-         query repro needs --app, --graph-file, --schedule and \
-         --source/--target (or --vertex); dynamic repro needs --dynamic, \
-         --graph, --schedule, --batches\n";
-      exit 2
+    match (dynamic, graph_file, app, graph, schedule) with
+    | true, None, None, Some graph, Some schedule ->
+        (* Dynamic repro: replay one batch sequence (the syntax of
+           --dynamic repro lines). *)
+        let spec = spec_of graph in
+        let schedule = schedule_of schedule in
+        let batches =
+          parse_or_exit "batches"
+            (Dynamic.batches_of_string (Option.value ~default:"" batches))
+        in
+        replay (fun w ->
+            with_pool w (fun pool ->
+                Dynamic.run_config ~pool { Dynamic.spec; schedule; workers = w; batches }
+                |> Result.map_error (fun (step, msg) -> Dynamic.headline step msg)))
+    | true, None, None, None, None ->
+        let s =
+          Dynamic.run ~workers ~budget ~seed ~max_failures ~chaos ~race
+            ~log:prerr_endline ()
+        in
+        emit ~headline:Dynamic.headline (Dynamic.summary_json ~seed s) s
+    | false, Some graph_file, Some app, None, Some schedule ->
+        let module Qr = Check.Query_repro in
+        let app = parse_or_exit "app" (Qr.app_of_string app) in
+        let schedule = schedule_of schedule in
+        let source, target =
+          match (app, vertex, source, target) with
+          | Qr.Kcore, Some v, _, _ | Qr.Kcore, None, Some v, _ -> (v, -1)
+          | Qr.Kcore, None, None, _ -> usage "kcore query repro needs --vertex"
+          | _, _, Some s, Some t -> (s, t)
+          | _ -> usage "query repro needs --source and --target"
+        in
+        Harness.replay ~seed ~chaos:false ~race:false ~workers (fun workers ->
+            Qr.run { Qr.app; graph_file; symmetric; source; target; schedule; workers })
+    | false, None, Some app, Some graph, Some schedule ->
+        let app = parse_or_exit "app" (Sweep.app_of_string app) in
+        let spec = spec_of graph in
+        let schedule = schedule_of schedule in
+        let case = Graph_case.build spec in
+        replay (fun w ->
+            with_pool w (fun pool -> Sweep.run_one ~variant ~pool app case schedule))
+    | false, None, None, None, None ->
+        (* Sweep mode: with no substrate flags, run the whole default
+           variant axis; with flags, pin the sweep to that one variant. *)
+        let apps = Option.fold ~none:Sweep.all_apps ~some:parse_apps apps in
+        let variants = if variant_given then [ variant ] else Sweep.default_variants in
+        let s =
+          Sweep.run ~apps ~variants ~workers ~budget ~seed ~max_failures ~chaos ~race
+            ~log:prerr_endline ()
+        in
+        emit ~headline:Sweep.headline (Sweep.summary_json ~seed s) s.checks
+    | _ ->
+        usage
+          "repro mode needs all of --app, --graph, --schedule; query repro \
+           needs --app, --graph-file, --schedule and --source/--target (or \
+           --vertex); dynamic repro needs --dynamic, --graph, --schedule, \
+           --batches"
 
 let () =
+  let str name ?docv doc = Arg.(value & opt (some string) None & info [ name ] ?docv ~doc) in
+  let int_opt name doc = Arg.(value & opt (some int) None & info [ name ] ~doc) in
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
   let budget =
     Arg.(
       value & opt float 60.
@@ -437,173 +170,80 @@ let () =
   let seed =
     Arg.(
       value & opt int 0
-      & info [ "seed" ]
-          ~doc:"Master seed for graphs, sampled schedules, and chaos streams")
+      & info [ "seed" ] ~doc:"Master seed for graphs, sampled schedules, and chaos streams")
   in
   let apps =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "apps" ] ~docv:"LIST"
-          ~doc:"Comma-separated subset of sssp,wbfs,ppsp,astar,kcore,setcover")
+    str "apps" ~docv:"LIST" "Comma-separated subset of sssp,wbfs,ppsp,astar,kcore,setcover"
   in
-  let app_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "app" ] ~doc:"Repro mode: the app of the failing configuration")
-  in
+  let app_arg = str "app" "Repro mode: the app of the failing configuration" in
   let graph =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "graph" ] ~docv:"SPEC"
-          ~doc:"Repro mode: graph spec, e.g. 'random:seed=3,n=48,m=200,w=12'")
+    str "graph" ~docv:"SPEC" "Repro mode: graph spec, e.g. 'random:seed=3,n=48,m=200,w=12'"
   in
   let schedule =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "schedule" ] ~docv:"SCHED"
-          ~doc:
-            "Repro mode: schedule, e.g. \
-             'strategy=lazy,delta=2,traversal=DensePull,sched=guided'")
+    str "schedule" ~docv:"SCHED"
+      "Repro mode: schedule, e.g. \
+       'strategy=lazy,delta=2,traversal=DensePull,sched=guided'"
   in
   let workers =
-    Arg.(
-      value & opt string "1,2,4"
-      & info [ "workers" ] ~docv:"LIST" ~doc:"Worker counts to sweep")
+    Arg.(value & opt string "1,2,4" & info [ "workers" ] ~docv:"LIST" ~doc:"Worker counts to sweep")
   in
-  let chaos =
-    Arg.(
-      value & flag
-      & info [ "chaos" ]
-          ~doc:"Inject seeded scheduling perturbation (Parallel.Chaos)")
-  in
+  let chaos = flag "chaos" "Inject seeded scheduling perturbation (Parallel.Chaos)" in
   let race =
-    Arg.(
-      value & flag
-      & info [ "race" ]
-          ~doc:
-            "Enable the plain-write race detector (Parallel.Race); any \
-             finding fails the run")
+    flag "race"
+      "Enable the plain-write race detector (Parallel.Race); any finding fails the run"
   in
   let max_failures =
-    Arg.(
-      value & opt int 5
-      & info [ "max-failures" ] ~doc:"Stop the sweep after this many failures")
+    Arg.(value & opt int 5 & info [ "max-failures" ] ~doc:"Stop the sweep after this many failures")
   in
-  let json_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the JSON summary here")
-  in
+  let json_path = str "json" ~docv:"FILE" "Also write the JSON summary here" in
   let failures_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "failures" ] ~docv:"FILE"
-          ~doc:"Write failure messages and repro lines here (CI artifact)")
+    str "failures" ~docv:"FILE" "Write failure messages and repro lines here (CI artifact)"
   in
   let layout =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "layout" ] ~docv:"KIND"
-          ~doc:
-            "Storage layout (plain|compressed). Repro mode: run the \
-             configuration under it; sweep mode: pin the sweep's variant \
-             axis to it")
+    str "layout" ~docv:"KIND"
+      "Storage layout (plain|compressed). Repro mode: run the configuration \
+       under it; sweep mode: pin the sweep's variant axis to it"
   in
   let reorder =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "reorder" ] ~docv:"KIND"
-          ~doc:
-            "Vertex reordering (none|degree|bfs|hilbert) applied to the \
-             graph before running")
+    str "reorder" ~docv:"KIND"
+      "Vertex reordering (none|degree|bfs|hilbert) applied to the graph before running"
   in
   let bin =
-    Arg.(
-      value & flag
-      & info [ "bin" ]
-          ~doc:
-            "Round-trip the graph through the binary format (save-bin -> \
-             load-bin) before running")
+    flag "bin"
+      "Round-trip the graph through the binary format (save-bin -> load-bin) before running"
   in
   let graph_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "graph-file" ] ~docv:"FILE"
-          ~doc:
-            "Query-repro mode: replay one service query against this graph \
-             file (edge-list text or GRAPHBIN) — the syntax of slow-query \
-             log repro lines")
+    str "graph-file" ~docv:"FILE"
+      "Query-repro mode: replay one service query against this graph file \
+       (edge-list text or GRAPHBIN) — the syntax of slow-query log repro lines"
   in
-  let source =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "source" ] ~doc:"Query-repro mode: source vertex")
-  in
-  let target =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "target" ] ~doc:"Query-repro mode: target vertex")
-  in
-  let vertex =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "vertex" ] ~doc:"Query-repro mode: the kcore query vertex")
-  in
+  let source = int_opt "source" "Query-repro mode: source vertex" in
+  let target = int_opt "target" "Query-repro mode: target vertex" in
+  let vertex = int_opt "vertex" "Query-repro mode: the kcore query vertex" in
   let symmetric =
-    Arg.(
-      value & flag
-      & info [ "symmetric" ]
-          ~doc:
-            "Query-repro mode: symmetrize the loaded graph, as `serve \
-             --symmetric` did")
+    flag "symmetric"
+      "Query-repro mode: symmetrize the loaded graph, as `serve --symmetric` did"
   in
   let dynamic =
-    Arg.(
-      value & flag
-      & info [ "dynamic" ]
-          ~doc:
-            "Dynamic-graph mode: sweep incremental-vs-from-scratch SSSP \
-             across random delta batches, schedules, and worker counts \
-             (with --graph/--schedule/--batches: replay one failing \
-             configuration)")
+    flag "dynamic"
+      "Dynamic-graph mode: sweep incremental-vs-from-scratch SSSP across random \
+       delta batches, schedules, and worker counts (with \
+       --graph/--schedule/--batches: replay one failing configuration)"
   in
   let batches =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "batches" ] ~docv:"BATCHES"
-          ~doc:
-            "Dynamic repro mode: semicolon-separated delta batches, each a \
-             comma-separated op list (i:src-dst-w, d:src-dst, r:src-dst-w)")
+    str "batches" ~docv:"BATCHES"
+      "Dynamic repro mode: semicolon-separated delta batches, each a \
+       comma-separated op list (i:src-dst-w, d:src-dst, r:src-dst-w)"
   in
   let dsl =
-    Arg.(
-      value & flag
-      & info [ "dsl" ]
-          ~doc:
-            "DSL differential mode: sweep generated DSL programs through \
-             reference-interp vs scheduled-engine (vs generated C++ when a \
-             toolchain is present) across the schedule grid (with \
-             --program/--graph/--schedule: replay one failing configuration)")
+    flag "dsl"
+      "DSL differential mode: sweep generated DSL programs through \
+       reference-interp vs scheduled-engine (vs generated C++ when a toolchain \
+       is present) across the schedule grid (with --program/--graph/--schedule: \
+       replay one failing configuration)"
   in
   let program =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "program" ] ~docv:"SPEC"
-          ~doc:"DSL repro mode: program spec, e.g. 'min:guard+reach+print'")
+    str "program" ~docv:"SPEC" "DSL repro mode: program spec, e.g. 'min:guard+reach+print'"
   in
   let bug =
     Arg.(
@@ -615,10 +255,7 @@ let () =
              suite to prove the sweep detects injected miscompilations")
   in
   let no_compiled =
-    Arg.(
-      value & flag
-      & info [ "no-compiled" ]
-          ~doc:"DSL mode: skip the compiled lane even if a toolchain exists")
+    flag "no-compiled" "DSL mode: skip the compiled lane even if a toolchain exists"
   in
   let term =
     Term.(

@@ -1,6 +1,7 @@
 module Schedule = Ordered.Schedule
 module Pool = Parallel.Pool
 module Ast = Dsl.Ast
+module Json = Support.Json
 
 (* ---------------- bug injection ---------------- *)
 
@@ -169,11 +170,11 @@ let run_binary bin args =
 
 (* ---------------- lane comparison ---------------- *)
 
-let compare_results ~lane ~compare_vectors (ref_printed, ref_vectors)
+let compare_results ~compare_vectors (ref_printed, ref_vectors)
     (got_printed, got_vectors) =
   if ref_printed <> got_printed then
     Error
-      (Printf.sprintf "%s lane printed [%s], reference printed [%s]" lane
+      (Printf.sprintf "printed [%s], reference printed [%s]"
          (String.concat "; " got_printed)
          (String.concat "; " ref_printed))
   else if not compare_vectors then Ok ()
@@ -182,12 +183,10 @@ let compare_results ~lane ~compare_vectors (ref_printed, ref_vectors)
       match (a, b) with
       | [], [] -> Ok ()
       | (n, _) :: _, [] | [], (n, _) :: _ ->
-          Error (Printf.sprintf "%s lane: vector %s missing in one lane" lane n)
+          Error (Printf.sprintf "vector %s missing in one lane" n)
       | (n1, v1) :: rest1, (n2, v2) :: rest2 ->
           if n1 <> n2 then
-            Error
-              (Printf.sprintf "%s lane: vector name mismatch %s vs %s" lane n1
-                 n2)
+            Error (Printf.sprintf "vector name mismatch %s vs %s" n1 n2)
           else if v1 <> v2 then begin
             let i = ref 0 in
             while !i < Array.length v1 && v1.(!i) = v2.(!i) do
@@ -195,9 +194,8 @@ let compare_results ~lane ~compare_vectors (ref_printed, ref_vectors)
             done;
             Error
               (Printf.sprintf
-                 "%s lane: %s[%d] = %d, reference says %d (graph has %d \
-                  vertices)"
-                 lane n1 !i
+                 "%s[%d] = %d, reference says %d (graph has %d vertices)" n1
+                 !i
                  (if !i < Array.length v2 then v2.(!i) else -1)
                  (if !i < Array.length v1 then v1.(!i) else -1)
                  (Array.length v1))
@@ -216,17 +214,19 @@ type config = {
   bug : bug;
 }
 
-let repro_line ?(chaos = false) ?(race = false) ~seed config =
-  Printf.sprintf
-    "check_runner --dsl --program '%s' --graph '%s' --schedule '%s' \
-     --workers %d --seed %d%s%s%s"
-    (Dsl_case.to_string config.spec)
-    (Graph_case.to_string config.graph)
-    (Sweep.schedule_to_string config.schedule)
-    config.workers seed
-    (if config.bug = No_bug then "" else " --bug " ^ bug_to_string config.bug)
-    (if chaos then " --chaos" else "")
-    (if race then " --race" else "")
+type lane = Lower | Reference | Engine | Compiled
+
+let lane_to_string = function
+  | Lower -> "lower"
+  | Reference -> "reference"
+  | Engine -> "engine"
+  | Compiled -> "compiled"
+
+let repro_line ?(chaos = false) ?(race = false) ~seed c =
+  Harness.repro_line ~seed ~chaos ~race
+    ~mode:[ "--dsl"; "--program"; Dsl_case.to_string c.spec ]
+    ~graph:(Graph_case.to_string c.graph) ~workers:c.workers ~schedule:c.schedule
+    (if c.bug = No_bug then [] else [ "--bug"; bug_to_string c.bug ])
 
 let with_graph_file (case : Graph_case.t) f =
   let path = Filename.temp_file "dsl_graph" ".txt" in
@@ -261,81 +261,59 @@ let target_of (case : Graph_case.t) =
 let run_one ?(bug = No_bug) ?toolchain ~pool ~ref_pool spec
     (case : Graph_case.t) schedule =
   let ( let* ) = Result.bind in
+  let in_lane lane = Result.map_error (fun e -> (lane, e)) in
   (* The reference lane interprets the unmutated program; the schedule
      only matters to the engine lane, so lower the reference at the
      default point. *)
-  let* reference_lowered = lower_case spec Schedule.default in
-  let* lowered = lower_case ~bug spec schedule in
+  let* reference_lowered = in_lane Lower (lower_case spec Schedule.default) in
+  let* lowered = in_lane Lower (lower_case ~bug spec schedule) in
   with_graph_file case (fun path ->
       let argv = Dsl_case.argv ~graph_file:path ~target:(target_of case) spec in
       let* reference =
-        Result.map_error
-          (fun e -> "reference lane: " ^ e)
+        in_lane Reference
           (interp_result reference_lowered ~pool:ref_pool ~argv ~transform:false)
       in
       let compare_vectors = Dsl_case.compare_vectors spec in
       let* engine =
-        Result.map_error
-          (fun e -> "engine lane: " ^ e)
-          (interp_result lowered ~pool ~argv ~transform:true)
+        in_lane Engine (interp_result lowered ~pool ~argv ~transform:true)
       in
-      let* () = compare_results ~lane:"engine" ~compare_vectors reference engine in
+      let* () = in_lane Engine (compare_results ~compare_vectors reference engine) in
       match toolchain with
       | None -> Ok ()
-      | Some t -> (
-          let source = Dsl.Codegen_cpp.generate lowered in
-          let* bin = compile_cached t source in
-          let args = Array.to_list argv |> List.tl in
-          let* out = run_binary bin args in
-          match out with
-          | None -> Ok () (* compiled lane unavailable for this program *)
-          | Some got ->
-              compare_results ~lane:"compiled" ~compare_vectors reference got))
+      | Some t ->
+          in_lane Compiled
+            (let* bin = compile_cached t (Dsl.Codegen_cpp.generate lowered) in
+             let* out = run_binary bin (List.tl (Array.to_list argv)) in
+             match out with
+             | None -> Ok () (* compiled lane unavailable for this program *)
+             | Some got -> compare_results ~compare_vectors reference got))
 
 (* ---------------- shrinking ---------------- *)
 
-(* ddmin over the gene list: greedily drop genes while the configuration
-   keeps failing. The skeleton is not shrinkable — it IS the minimal
-   §5.2 pattern. *)
-let shrink_program ~check (spec : Dsl_case.spec) =
-  let rec go spec =
-    let step =
-      List.find_map
-        (fun gene ->
-          let candidate =
-            {
-              spec with
-              Dsl_case.genes = List.filter (( <> ) gene) spec.Dsl_case.genes;
-            }
-          in
-          if check candidate then Some candidate else None)
-        spec.Dsl_case.genes
-    in
-    match step with Some smaller -> go smaller | None -> spec
+(* ddmin over the gene list, then over the graph under the smallest
+   program. The skeleton is not shrinkable — it IS the minimal §5.2
+   pattern. *)
+let shrink ~judge c =
+  let with_genes genes = { c with spec = { c.spec with Dsl_case.genes = Array.to_list genes } } in
+  let fails c = Result.is_error (judge c (Graph_case.build c.graph)) in
+  let c =
+    with_genes
+      (Harness.ddmin (Harness.probes ~max:max_int)
+         (fun genes -> fails (with_genes genes))
+         (Array.of_list c.spec.Dsl_case.genes))
   in
-  let smallest = go spec in
-  if smallest = spec then None else Some smallest
+  let check case = Result.is_error (judge c case) in
+  { c with graph = Graph_case.shrink ~check (Graph_case.build c.graph) }
 
 (* ---------------- the sweep ---------------- *)
 
-type failure = {
-  config : config;
-  lane : string;
-  message : string;
-  shrunk_program : Dsl_case.spec option;
-  shrunk_graph : Graph_case.spec option;
-  repro : string;
-}
+type failure = (config, lane) Harness.failure
 
 type summary = {
+  checks : (config, lane) Harness.summary;
   programs : int;
-  configs_run : int;
   compiled_runs : int;
   toolchain : string option;
-  failures : failure list;
-  elapsed_seconds : float;
-  budget_exhausted : bool;
-  race_findings : int;
 }
 
 let default_programs ~seed = List.init 6 (Dsl_case.generate ~seed)
@@ -355,60 +333,64 @@ let deltas = function
   | Dsl_case.Sum_peel -> [ 1 ] (* coarsening is off for the peel queue *)
   | Dsl_case.Min_relax | Dsl_case.Max_relax -> [ 1; 2; 8 ]
 
-let bucket_counts = function
-  | Schedule.Lazy | Schedule.Lazy_constant_sum -> [ 32; 512 ]
-  | Schedule.Eager_with_fusion | Schedule.Eager_no_fusion -> [ 128 ]
+let scheds s = List.map (fun sched -> { s with Schedule.sched }) [ None; Some Pool.Dynamic ]
 
-let fusion_thresholds = function
-  | Schedule.Eager_with_fusion -> [ 1; 1000 ]
-  | _ -> [ 1000 ]
-
-let scheds = [ None; Some Pool.Dynamic ]
-
-(* The grid for one program. [rep] marks the representative point of each
-   (strategy, traversal, delta) cell — the subset the compiled lane
-   builds, bounding compile time while still covering every emitted
-   backend shape. *)
 let grid spec =
-  List.concat_map
-    (fun strategy ->
-      List.concat_map
-        (fun traversal ->
-          List.concat_map
-            (fun delta ->
-              List.concat_map
-                (fun num_open_buckets ->
-                  List.concat_map
-                    (fun fusion_threshold ->
-                      List.map
-                        (fun sched ->
-                          let s =
-                            {
-                              Schedule.default with
-                              Schedule.strategy;
-                              delta;
-                              traversal;
-                              num_open_buckets;
-                              fusion_threshold;
-                              sched;
-                            }
-                          in
-                          let rep =
-                            num_open_buckets
-                            = List.hd (bucket_counts strategy)
-                            && fusion_threshold
-                               = List.hd (fusion_thresholds strategy)
-                            && sched = List.hd scheds
-                          in
-                          (s, rep))
-                        scheds)
-                    (fusion_thresholds strategy))
-                (bucket_counts strategy))
-            (deltas spec.Dsl_case.family))
-        (Dsl_case.traversals strategy))
-    (Dsl_case.strategies spec.Dsl_case.family)
+  Harness.grid
+    [
+      (fun s ->
+        List.map
+          (fun strategy -> { s with Schedule.strategy })
+          (Dsl_case.strategies spec.Dsl_case.family));
+      (fun s ->
+        List.map
+          (fun traversal -> { s with Schedule.traversal })
+          (Dsl_case.traversals s.Schedule.strategy));
+      (fun s -> List.map (fun delta -> { s with Schedule.delta }) (deltas spec.Dsl_case.family));
+      Harness.open_buckets;
+      Harness.fusion_thresholds;
+      scheds;
+    ]
 
-exception Stop
+(* The representative point of each (strategy, traversal, delta) cell: the
+   first value of every inner axis. The compiled lane builds only these,
+   bounding compile time while still covering every emitted backend
+   shape. *)
+let representative s =
+  List.for_all
+    (fun axis -> List.hd (axis s) = s)
+    [ Harness.open_buckets; Harness.fusion_thresholds; scheds ]
+
+let headline lane message = lane_to_string lane ^ " lane: " ^ message
+
+let failure_fields (f : failure) =
+  let c = f.original in
+  let shrunk_to print field =
+    if field f.shrunk = field c then Json.Null else Json.String (print (field f.shrunk))
+  in
+  [
+    ("program", Json.String (Dsl_case.to_string c.spec));
+    ("graph", Json.String (Graph_case.to_string c.graph));
+    ("schedule", Json.String (Schedule.to_string c.schedule));
+    ("workers", Json.Int c.workers);
+    ("bug", Json.String (bug_to_string c.bug));
+    ("lane", Json.String (lane_to_string f.lane));
+    ("message", Json.String f.message);
+    ("shrunk_program", shrunk_to Dsl_case.to_string (fun c -> c.spec));
+    ("shrunk_graph", shrunk_to Graph_case.to_string (fun c -> c.graph));
+    ("repro", Json.String f.repro);
+  ]
+
+let summary_json ~seed s =
+  Harness.summary_json ~mode:"dsl" ~seed
+    ~before:[ ("programs", Json.Int s.programs) ]
+    ~after:
+      [
+        ("compiled_runs", Json.Int s.compiled_runs);
+        ( "toolchain",
+          match s.toolchain with None -> Json.Null | Some name -> Json.String name );
+      ]
+    failure_fields s.checks
 
 let run ?programs ?graphs ?(workers = [ 1; 2; 4 ]) ?(budget = 60.) ?(seed = 0)
     ?(max_failures = 5) ?(chaos = false) ?(race = false) ?(bug = No_bug)
@@ -417,7 +399,6 @@ let run ?programs ?graphs ?(workers = [ 1; 2; 4 ]) ?(budget = 60.) ?(seed = 0)
     match programs with Some p -> p | None -> default_programs ~seed
   in
   let graphs = match graphs with Some g -> g | None -> default_graphs ~seed in
-  let workers = List.sort_uniq compare workers in
   let toolchain =
     match compiled with
     | Some false -> None
@@ -426,128 +407,52 @@ let run ?programs ?graphs ?(workers = [ 1; 2; 4 ]) ?(budget = 60.) ?(seed = 0)
   (match toolchain with
   | Some t -> log (Printf.sprintf "compiled lane: %s" (toolchain_name t))
   | None -> log "compiled lane: no C++ toolchain detected, skipped");
-  if chaos then Parallel.Chaos.enable ~seed;
-  if race then begin
-    Parallel.Race.clear ();
-    Parallel.Race.enable ()
-  end;
-  let pools = List.map (fun w -> (w, Pool.create ~num_workers:w ())) workers in
-  let ref_pool = Pool.create ~num_workers:1 () in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (_, p) -> Pool.shutdown p) pools;
-      Pool.shutdown ref_pool;
-      if chaos then Parallel.Chaos.disable ();
-      if race then Parallel.Race.disable ())
-    (fun () ->
-      let start = Unix.gettimeofday () in
-      let elapsed () = Unix.gettimeofday () -. start in
-      let configs_run = ref 0 in
-      let compiled_runs = ref 0 in
-      let failures = ref [] in
-      let budget_exhausted = ref false in
-      let cases = List.map (fun g -> (g, Graph_case.build g)) graphs in
-      (try
-         List.iter
-           (fun spec ->
-             List.iter
-               (fun (gspec, case) ->
-                 List.iter
-                   (fun (schedule, rep) ->
-                     List.iter
-                       (fun (w, pool) ->
-                         if elapsed () > budget then begin
-                           budget_exhausted := true;
-                           raise Stop
-                         end;
-                         (* The compiled lane builds one binary per
-                            (program, schedule) cell; restrict it to the
-                            representative point on the first worker
-                            count. *)
-                         let toolchain =
-                           if rep && w = List.hd workers then toolchain
-                           else None
-                         in
-                         incr configs_run;
-                         if toolchain <> None then incr compiled_runs;
-                         match
-                           run_one ~bug ?toolchain ~pool ~ref_pool spec case
-                             schedule
-                         with
-                         | Ok () -> ()
-                         | Error message ->
-                             let config =
-                               { spec; graph = gspec; schedule; workers = w; bug }
-                             in
-                             let lane =
-                               if String.length message >= 8
-                                  && String.sub message 0 8 = "compiled"
-                               then "compiled"
-                               else if
-                                 String.length message >= 6
-                                 && String.sub message 0 6 = "engine"
-                               then "engine"
-                               else "lower"
-                             in
-                             log
-                               (Printf.sprintf "FAIL %s on %s [%s]: %s"
-                                  (Dsl_case.to_string spec)
-                                  (Graph_case.to_string gspec)
-                                  (Sweep.schedule_to_string schedule)
-                                  message);
-                             let still_fails ~spec ~case =
-                               Result.is_error
-                                 (run_one ~bug ?toolchain ~pool ~ref_pool spec
-                                    case schedule)
-                             in
-                             let shrunk_program =
-                               shrink_program
-                                 ~check:(fun s -> still_fails ~spec:s ~case)
-                                 spec
-                             in
-                             let min_spec =
-                               Option.value ~default:spec shrunk_program
-                             in
-                             let shrunk_graph =
-                               Sweep.shrink
-                                 ~check:(fun c ->
-                                   still_fails ~spec:min_spec ~case:c)
-                                 case
-                             in
-                             let repro =
-                               repro_line ~chaos ~race ~seed
-                                 {
-                                   config with
-                                   spec = min_spec;
-                                   graph =
-                                     Option.value ~default:gspec shrunk_graph;
-                                 }
-                             in
-                             log ("repro: " ^ repro);
-                             failures :=
-                               {
-                                 config;
-                                 lane;
-                                 message;
-                                 shrunk_program;
-                                 shrunk_graph;
-                                 repro;
-                               }
-                               :: !failures;
-                             if List.length !failures >= max_failures then
-                               raise Stop)
-                       pools)
-                   (grid spec))
-               cases)
-           programs
-       with Stop -> ());
-      {
-        programs = List.length programs;
-        configs_run = !configs_run;
-        compiled_runs = !compiled_runs;
-        toolchain = Option.map toolchain_name toolchain;
-        failures = List.rev !failures;
-        elapsed_seconds = elapsed ();
-        budget_exhausted = !budget_exhausted;
-        race_findings = (if race then Parallel.Race.num_findings () else 0);
-      })
+  (* The compiled lane builds one binary per (program, schedule) cell: it
+     runs at the representative point on the first worker count. *)
+  let first_workers = List.fold_left min max_int workers in
+  let toolchain_for c =
+    if c.workers = first_workers && representative c.schedule then toolchain else None
+  in
+  let compiled_runs = ref 0 in
+  let checks =
+    Pool.with_pool ~num_workers:1 (fun ref_pool ->
+        let judge ~pool c case =
+          run_one ~bug:c.bug ?toolchain:(toolchain_for c) ~pool ~ref_pool c.spec case
+            c.schedule
+        in
+        let sweep =
+          {
+            Harness.judge = (fun ~pool c -> judge ~pool c (Graph_case.build c.graph));
+            shrink = (fun ~pool c -> shrink ~judge:(judge ~pool) c);
+            describe =
+              (fun c ->
+                Printf.sprintf "%s on %s [%s]" (Dsl_case.to_string c.spec)
+                  (Graph_case.to_string c.graph) (Schedule.to_string c.schedule));
+            headline;
+            repro = repro_line ~chaos ~race ~seed;
+          }
+        in
+        Harness.run ~workers ~budget ~seed ~max_failures ~chaos ~race ~log sweep
+          (fun ~visit ~report:_ ->
+            List.iter
+              (fun spec ->
+                List.iter
+                  (fun graph ->
+                    let case = Graph_case.build graph in
+                    List.iter
+                      (fun schedule ->
+                        visit
+                          (fun workers -> { spec; graph; schedule; workers; bug })
+                          (fun ~pool c ->
+                            if toolchain_for c <> None then incr compiled_runs;
+                            judge ~pool c case))
+                      (grid spec))
+                  graphs)
+              programs))
+  in
+  {
+    checks;
+    programs = List.length programs;
+    compiled_runs = !compiled_runs;
+    toolchain = Option.map toolchain_name toolchain;
+  }

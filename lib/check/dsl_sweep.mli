@@ -13,8 +13,8 @@
       built and executed out of process, its [out]/[vec] protocol parsed
       back and compared against the reference.
 
-    A mismatch is shrunk twice — ddmin over the program's gene list, then
-    {!Sweep.shrink} over the graph — and reported with a paste-able
+    A mismatch is shrunk twice — {!Harness.ddmin} over the program's gene
+    list, then {!Graph_case.shrink} over the graph — and reported with a paste-able
     [check_runner --dsl] repro line. [bug] grafts a deliberately wrong
     lowering into the engine and compiled lanes (the reference stays
     honest), which is how the test suite proves the sweep detects and
@@ -47,9 +47,12 @@ type config = {
   bug : bug;
 }
 
-(** [repro_line ~seed config] is the [check_runner --dsl] invocation that
-    re-runs exactly [config]. *)
-val repro_line : ?chaos:bool -> ?race:bool -> seed:int -> config -> string
+(** The lane a failure shows up in: lowering the rendered program, the
+    reference interpreter, the scheduled engine, or the compiled C++
+    (compile errors and unreadable output included). *)
+type lane = Lower | Reference | Engine | Compiled
+
+val lane_to_string : lane -> string
 
 (** [run_one ~pool ~ref_pool spec case schedule] renders, lowers, and
     compares the lanes for one configuration. [pool] drives the engine
@@ -57,7 +60,7 @@ val repro_line : ?chaos:bool -> ?race:bool -> seed:int -> config -> string
     only when [toolchain] is supplied; its unavailability exits (status
     2: unmatched program, unsupported construct) are skips, not
     failures. Lowering errors, runtime errors, and lane mismatches are
-    all [Error]. *)
+    all [Error], tagged with their lane. *)
 val run_one :
   ?bug:bug ->
   ?toolchain:toolchain ->
@@ -66,26 +69,15 @@ val run_one :
   Dsl_case.spec ->
   Graph_case.t ->
   Ordered.Schedule.t ->
-  (unit, string) result
+  (unit, lane * string) result
 
-type failure = {
-  config : config;
-  lane : string;  (** ["lower"], ["engine"], or ["compiled"]. *)
-  message : string;
-  shrunk_program : Dsl_case.spec option;
-  shrunk_graph : Graph_case.spec option;
-  repro : string;  (** Repro line for the shrunk configuration. *)
-}
+type failure = (config, lane) Harness.failure
 
 type summary = {
+  checks : (config, lane) Harness.summary;
   programs : int;
-  configs_run : int;
   compiled_runs : int;
   toolchain : string option;  (** [None] when no C++ compiler was found. *)
-  failures : failure list;
-  elapsed_seconds : float;
-  budget_exhausted : bool;
-  race_findings : int;
 }
 
 (** The default program stream for [seed]: {!Dsl_case.generate} 0..5. *)
@@ -114,3 +106,12 @@ val run :
   ?log:(string -> unit) ->
   unit ->
   summary
+
+(** The failures-file line of a failure: [LANE lane: MESSAGE]. *)
+val headline : lane -> string -> string
+
+(** The [--dsl] JSON summary: {!Harness.summary_json} plus [programs],
+    [compiled_runs] and [toolchain]; each failure carries its original
+    configuration, lane, message, shrunk program and graph ([null] if
+    unshrunk) and repro line. *)
+val summary_json : seed:int -> summary -> Support.Json.t

@@ -9,15 +9,15 @@
      bucketing code),
 
    judged by the sequential oracle on top. A mismatch shrinks the
-   failing batch with ddmin (and drops unneeded prefix batches) into a
-   one-line repro for [check_runner --dynamic]. *)
+   batches with Harness.ddmin into a one-line repro for
+   [check_runner --dynamic]. *)
 
-module Pool = Parallel.Pool
 module Csr = Graphs.Csr
 module Delta = Graphs.Delta
 module Handle = Graphs.Handle
 module Schedule = Ordered.Schedule
 module Rng = Support.Rng
+module Json = Support.Json
 
 type config = {
   spec : Graph_case.spec;
@@ -36,27 +36,19 @@ let ( let* ) = Result.bind
 let batches_of_string s =
   if String.trim s = "" then Ok [||]
   else
-    let parts = String.split_on_char ';' (String.trim s) in
-    let* batches =
-      List.fold_left
-        (fun acc part ->
-          let* acc = acc in
-          let* b = Delta.of_string part in
-          Ok (b :: acc))
-        (Ok []) parts
-    in
-    Ok (Array.of_list (List.rev batches))
+    String.split_on_char ';' (String.trim s)
+    |> List.fold_left
+         (fun acc part ->
+           let* batches = acc in
+           let* b = Delta.of_string part in
+           Ok (b :: batches))
+         (Ok [])
+    |> Result.map (fun batches -> Array.of_list (List.rev batches))
 
-let repro_line ?(chaos = false) ~seed config =
-  Printf.sprintf
-    "check_runner --dynamic --seed %d --graph '%s' --workers %d --schedule '%s' \
-     --batches '%s'%s"
-    seed
-    (Graph_case.to_string config.spec)
-    config.workers
-    (Sweep.schedule_to_string config.schedule)
-    (batches_to_string config.batches)
-    (if chaos then " --chaos" else "")
+let repro_line ?(chaos = false) ?(race = false) ~seed c =
+  Harness.repro_line ~seed ~chaos ~race ~mode:[ "--dynamic" ]
+    ~graph:(Graph_case.to_string c.spec) ~workers:c.workers ~schedule:c.schedule
+    [ "--batches"; batches_to_string c.batches ]
 
 (* ---------------- random batch generation ---------------- *)
 
@@ -106,20 +98,11 @@ let gen_batches ~seed csr ~num_batches ~ops_per_batch =
 
 (* ---------------- one configuration ---------------- *)
 
-let first_diff a b =
-  let rec go i =
-    if i >= Array.length a then None
-    else if a.(i) <> b.(i) then Some i
-    else go (i + 1)
-  in
-  if Array.length a <> Array.length b then Some (-1) else go 0
-
 let diff_message what a b =
-  match first_diff a b with
-  | None -> None
-  | Some (-1) -> Some (Printf.sprintf "%s: length mismatch" what)
-  | Some i ->
-      Some (Printf.sprintf "%s: dist[%d] = %d vs %d" what i a.(i) b.(i))
+  if Array.length a <> Array.length b then Some (what ^ ": length mismatch")
+  else
+    Seq.find (fun i -> a.(i) <> b.(i)) (Seq.init (Array.length a) Fun.id)
+    |> Option.map (fun i -> Printf.sprintf "%s: dist[%d] = %d vs %d" what i a.(i) b.(i))
 
 (* Replay [batches] from the initial graph; every step must agree across
    incremental, from-scratch, the unordered incremental counterpart, and
@@ -189,78 +172,28 @@ let run_config ~pool config =
 
 (* ---------------- shrinking ---------------- *)
 
-(* Minimize a failing replay: drop whole prefix/suffix batches greedily,
-   then ddmin the ops of what remains (all batches concatenated into the
-   candidate list positionally). Probe count bounded; each probe is a
-   full replay. *)
+(* Drop the batches the failure does not need, then ddmin the ops of each
+   remaining batch in place. One budget covers both passes; each probe is
+   a full replay. *)
 let shrink ~pool config =
-  let probes = ref 0 in
-  let max_probes = 300 in
-  let still_fails batches =
-    incr probes;
-    !probes <= max_probes
-    && Result.is_error (run_config ~pool { config with batches })
-  in
-  (* Drop batches not needed for the failure, keeping replay order. *)
-  let drop_batches batches =
-    let n = Array.length batches in
-    let kept = ref (Array.to_list (Array.mapi (fun i b -> (i, b)) batches)) in
-    List.iter
-      (fun i ->
-        let candidate = List.filter (fun (j, _) -> j <> i) !kept in
-        if List.length candidate < List.length !kept then
-          let arr = Array.of_list (List.map snd candidate) in
-          if still_fails arr then kept := candidate)
-      (List.init n (fun i -> i));
-    Array.of_list (List.map snd !kept)
-  in
-  let rec ddmin (ops : Delta.op array) granularity wrap =
-    let len = Array.length ops in
-    if len <= 1 || granularity > len then ops
-    else begin
-      let chunk = (len + granularity - 1) / granularity in
-      let complements =
-        List.init granularity (fun i ->
-            let lo = i * chunk and hi = min len ((i + 1) * chunk) in
-            Array.append (Array.sub ops 0 lo) (Array.sub ops hi (len - hi)))
-      in
-      match List.find_opt (fun c -> still_fails (wrap c)) complements with
-      | Some smaller -> ddmin smaller (max 2 (granularity - 1)) wrap
-      | None ->
-          if granularity >= len then ops
-          else ddmin ops (min len (2 * granularity)) wrap
-    end
-  in
-  let batches = drop_batches config.batches in
-  (* Shrink each remaining batch's ops in place. *)
-  let batches = Array.copy batches in
+  let probes = Harness.probes ~max:300 in
+  let fails batches = Result.is_error (run_config ~pool { config with batches }) in
+  let batches = Array.copy (Harness.ddmin probes fails config.batches) in
   Array.iteri
-    (fun i b ->
-      let wrap c =
-        let copy = Array.copy batches in
-        copy.(i) <- c;
-        copy
+    (fun i ops ->
+      let with_ops ops =
+        let candidate = Array.copy batches in
+        candidate.(i) <- ops;
+        candidate
       in
-      batches.(i) <- ddmin b 2 wrap)
+      batches.(i) <- Harness.ddmin probes (fun ops -> fails (with_ops ops)) ops)
     batches;
-  if batches = config.batches then None else Some batches
+  { config with batches }
 
 (* ---------------- the sweep ---------------- *)
 
-type failure = {
-  config : config;
-  step : int;
-  message : string;
-  repro : string;
-}
-
-type summary = {
-  configs_run : int;
-  failures : failure list;
-  elapsed_seconds : float;
-  budget_exhausted : bool;
-  race_findings : int;
-}
+type failure = (config, int) Harness.failure
+type summary = (config, int) Harness.summary
 
 let default_specs ~seed =
   [
@@ -279,97 +212,68 @@ let default_specs ~seed =
    0 forces the full-recompute fallback (so fallback parity is itself
    swept), 1 never falls back, and the default sits between. *)
 let schedules graph =
-  let thresholds = [ 0.0; Schedule.default.Schedule.incremental_threshold; 1.0 ] in
-  let deltas = List.sort_uniq compare [ 1; max 1 (Csr.max_weight graph) ] in
-  List.concat_map
-    (fun (strategy, traversal) ->
-      List.concat_map
-        (fun delta ->
-          List.map
-            (fun incremental_threshold ->
-              {
-                Schedule.default with
-                Schedule.strategy;
-                traversal;
-                delta;
-                incremental_threshold;
-              })
-            thresholds)
-        deltas)
+  Harness.grid
     [
-      (Schedule.Eager_with_fusion, Schedule.Sparse_push);
-      (Schedule.Eager_no_fusion, Schedule.Sparse_push);
-      (Schedule.Lazy, Schedule.Sparse_push);
-      (Schedule.Lazy, Schedule.Dense_pull);
-      (Schedule.Lazy, Schedule.Hybrid);
+      (fun s ->
+        List.map
+          (fun (strategy, traversal) -> { s with Schedule.strategy; traversal })
+          [
+            (Schedule.Eager_with_fusion, Schedule.Sparse_push);
+            (Schedule.Eager_no_fusion, Schedule.Sparse_push);
+            (Schedule.Lazy, Schedule.Sparse_push);
+            (Schedule.Lazy, Schedule.Dense_pull);
+            (Schedule.Lazy, Schedule.Hybrid);
+          ]);
+      (fun s ->
+        List.map
+          (fun delta -> { s with Schedule.delta })
+          (List.sort_uniq compare [ 1; max 1 (Csr.max_weight graph) ]));
+      (fun s ->
+        List.map
+          (fun incremental_threshold -> { s with Schedule.incremental_threshold })
+          [ 0.0; Schedule.default.Schedule.incremental_threshold; 1.0 ]);
     ]
 
-exception Stop
+let headline step message = Printf.sprintf "step %d: %s" step message
+
+let failure_fields (f : failure) =
+  let c = f.shrunk in
+  [
+    ("graph", Json.String (Graph_case.to_string c.spec));
+    ("schedule", Json.String (Schedule.to_string c.schedule));
+    ("workers", Json.Int c.workers);
+    ("batches", Json.String (batches_to_string c.batches));
+    ("step", Json.Int f.lane);
+    ("message", Json.String f.message);
+    ("repro", Json.String f.repro);
+  ]
+
+let summary_json ~seed s = Harness.summary_json ~mode:"dynamic" ~seed failure_fields s
 
 let run ?specs ?(workers = [ 1; 2; 4 ]) ?(budget = 60.) ?(seed = 0)
     ?(max_failures = 5) ?(num_batches = 3) ?(ops_per_batch = 6) ?(chaos = false)
     ?(race = false) ?(log = fun _ -> ()) () =
   let specs = match specs with Some s -> s | None -> default_specs ~seed in
-  let workers = List.sort_uniq compare workers in
-  if chaos then Parallel.Chaos.enable ~seed;
-  if race then begin
-    Parallel.Race.clear ();
-    Parallel.Race.enable ()
-  end;
-  let pools = List.map (fun w -> (w, Pool.create ~num_workers:w ())) workers in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (_, p) -> Pool.shutdown p) pools;
-      if chaos then Parallel.Chaos.disable ();
-      if race then Parallel.Race.disable ())
-    (fun () ->
-      let start = Unix.gettimeofday () in
-      let elapsed () = Unix.gettimeofday () -. start in
-      let configs_run = ref 0 in
-      let failures = ref [] in
-      let budget_exhausted = ref false in
-      (try
-         List.iter
-           (fun spec ->
-             let case = Graph_case.build spec in
-             let csr0 = Csr.of_edge_list case.Graph_case.el in
-             let batches =
-               gen_batches ~seed:(seed + Hashtbl.hash (Graph_case.to_string spec))
-                 csr0 ~num_batches ~ops_per_batch
-             in
-             List.iter
-               (fun schedule ->
-                 List.iter
-                   (fun (w, pool) ->
-                     if elapsed () > budget then begin
-                       budget_exhausted := true;
-                       raise Stop
-                     end;
-                     incr configs_run;
-                     let config = { spec; schedule; workers = w; batches } in
-                     match run_config ~pool config with
-                     | Ok () -> ()
-                     | Error (step, message) ->
-                         log
-                           (Printf.sprintf "FAIL dynamic on %s step %d: %s"
-                              (Graph_case.to_string spec) step message);
-                         let config =
-                           match shrink ~pool config with
-                           | Some batches -> { config with batches }
-                           | None -> config
-                         in
-                         let repro = repro_line ~chaos ~seed config in
-                         log ("repro: " ^ repro);
-                         failures := { config; step; message; repro } :: !failures;
-                         if List.length !failures >= max_failures then raise Stop)
-                   pools)
-               (schedules csr0))
-           specs
-       with Stop -> ());
-      {
-        configs_run = !configs_run;
-        failures = List.rev !failures;
-        elapsed_seconds = elapsed ();
-        budget_exhausted = !budget_exhausted;
-        race_findings = (if race then Parallel.Race.num_findings () else 0);
-      })
+  let sweep =
+    {
+      Harness.judge = run_config;
+      shrink;
+      describe = (fun c -> "dynamic on " ^ Graph_case.to_string c.spec);
+      headline;
+      repro = repro_line ~chaos ~race ~seed;
+    }
+  in
+  Harness.run ~workers ~budget ~seed ~max_failures ~chaos ~race ~log sweep
+    (fun ~visit ~report:_ ->
+      List.iter
+        (fun spec ->
+          let csr0 = Csr.of_edge_list (Graph_case.build spec).Graph_case.el in
+          let batches =
+            gen_batches ~seed:(seed + Hashtbl.hash (Graph_case.to_string spec))
+              csr0 ~num_batches ~ops_per_batch
+          in
+          List.iter
+            (fun schedule ->
+              visit (fun workers -> { spec; schedule; workers; batches }) run_config)
+            (schedules csr0))
+        specs)

@@ -9,8 +9,9 @@
     specs × schedules (push/pull/hybrid × strategies × Δ ×
     incremental-threshold, including threshold 0 — the forced
     full-recompute fallback) × worker counts under a time budget, with
-    chaos/race modes; failures ddmin-shrink the batches into a
-    [check_runner --dynamic] repro line. *)
+    chaos/race modes. A failure's batches (not its graph) are shrunk
+    with {!Harness.ddmin}: first whole batches, then the ops of each
+    remaining batch, 300 probes in all. *)
 
 type config = {
   spec : Graph_case.spec;
@@ -23,9 +24,6 @@ type config = {
 val batches_to_string : Graphs.Delta.batch array -> string
 
 val batches_of_string : string -> (Graphs.Delta.batch array, string) result
-
-(** One-line [check_runner --dynamic] invocation reproducing [config]. *)
-val repro_line : ?chaos:bool -> seed:int -> config -> string
 
 (** [gen_batches ~seed csr ~num_batches ~ops_per_batch] generates random
     batches whose deletes/reweights target edges live at that point of
@@ -42,31 +40,12 @@ val gen_batches :
     configuration error); step [k >= 1] failed replaying batch [k - 1]. *)
 val run_config : pool:Parallel.Pool.t -> config -> (unit, int * string) result
 
-(** [shrink ~pool config] minimizes a failing replay: unneeded batches
-    are dropped and the remaining ops ddmin-shrunk. [None] when no
-    smaller failing form was found. *)
-val shrink : pool:Parallel.Pool.t -> config -> Graphs.Delta.batch array option
+(** A failure's lane is the replay step that failed (see {!run_config}). *)
+type failure = (config, int) Harness.failure
 
-type failure = {
-  config : config;  (** Post-shrink configuration. *)
-  step : int;
-  message : string;
-  repro : string;
-}
-
-type summary = {
-  configs_run : int;
-  failures : failure list;
-  elapsed_seconds : float;
-  budget_exhausted : bool;
-  race_findings : int;
-}
+type summary = (config, int) Harness.summary
 
 val default_specs : seed:int -> Graph_case.spec list
-
-(** The dynamic schedule grid for one graph (strategy × direction × Δ ×
-    incremental threshold). *)
-val schedules : Graphs.Csr.t -> Ordered.Schedule.t list
 
 (** [run ()] sweeps the cross product under [budget] seconds, stopping
     after [max_failures]. Mirrors {!Sweep.run}'s chaos/race/log knobs. *)
@@ -83,3 +62,10 @@ val run :
   ?log:(string -> unit) ->
   unit ->
   summary
+
+(** The failures-file line of a failure: [step N: MESSAGE]. *)
+val headline : int -> string -> string
+
+(** The [--dynamic] JSON summary; each failure carries the shrunk
+    configuration, its failing step, message and repro line. *)
+val summary_json : seed:int -> summary -> Support.Json.t

@@ -223,3 +223,34 @@ let of_string s =
       in
       Ok (Explicit { num_vertices; edges; coords })
   | _ -> Error (Printf.sprintf "graph spec: unknown kind %S" kind)
+
+(* ---------------- shrinking ---------------- *)
+
+(* ddmin over the edge array while [check] keeps failing, then trim
+   unused trailing vertices. [check] re-runs the full judgement, so
+   whatever property failed is the property being preserved. *)
+let shrink ~check case =
+  let coords =
+    Option.map
+      (fun c -> List.init (Coords.num_vertices c) (fun v -> (Coords.x c v, Coords.y c v)))
+      case.coords
+  in
+  let explicit num_vertices edges coords =
+    Explicit { num_vertices; edges = Array.to_list edges; coords }
+  in
+  let num_vertices = case.el.Edge_list.num_vertices in
+  let edges =
+    Harness.ddmin (Harness.probes ~max:400)
+      (fun edges -> check (build (explicit num_vertices edges coords)))
+      (Array.map (fun e -> Edge_list.(e.src, e.dst, e.weight)) case.el.Edge_list.edges)
+  in
+  (* Source and target derive from n, so a trim changes the query and
+     must itself keep failing. A* keeps its coordinate prefix. *)
+  let used = Array.fold_left (fun acc (s, d, _) -> max acc (max s d)) (-1) edges + 1 in
+  let spec = explicit num_vertices edges coords in
+  if used < 1 || used >= num_vertices then spec
+  else
+    let trimmed =
+      explicit used edges (Option.map (List.filteri (fun i _ -> i < used)) coords)
+    in
+    if check (build trimmed) then trimmed else spec

@@ -45,3 +45,9 @@ val to_string : spec -> string
 
 (** [of_string s] parses what {!to_string} prints. *)
 val of_string : string -> (spec, string) result
+
+(** [shrink ~check case] minimizes [case]'s edge list with {!Harness.ddmin}
+    (400 probes) while [check] keeps failing, then trims unused trailing
+    vertices if the trimmed graph still fails. The result is an
+    [Explicit] spec. *)
+val shrink : check:(t -> bool) -> t -> spec

@@ -40,20 +40,22 @@ type t = {
 let to_line r =
   let endpoints =
     match r.app with
-    | Kcore -> Printf.sprintf "--vertex %d" r.source
+    | Kcore -> [ "--vertex"; string_of_int r.source ]
     | Ppsp | Astar | Widest ->
-        Printf.sprintf "--source %d --target %d" r.source r.target
+        [ "--source"; string_of_int r.source; "--target"; string_of_int r.target ]
   in
-  Printf.sprintf "check_runner --app %s --graph-file %s %s --schedule '%s' --workers %d%s"
-    (app_to_string r.app) r.graph_file endpoints
-    (Sweep.schedule_to_string r.schedule)
-    r.workers
-    (if r.symmetric then " --symmetric" else "")
+  Harness.command_line
+    ([ "--app"; app_to_string r.app; "--graph-file"; r.graph_file ]
+    @ endpoints
+    @ [ "--schedule"; Schedule.to_string r.schedule ]
+    @ [ "--workers"; string_of_int r.workers ]
+    @ if r.symmetric then [ "--symmetric" ] else [])
 
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 
-(* Tokenize respecting single quotes (the schedule is quoted). *)
+(* Tokenize like a POSIX shell does the words Harness.command_line
+   prints: single quotes group, a backslash outside them escapes. *)
 let tokenize line =
   let buf = Buffer.create 32 in
   let toks = ref [] in
@@ -63,10 +65,15 @@ let tokenize line =
       Buffer.clear buf
     end
   in
-  let in_quote = ref false in
+  let in_quote = ref false and escaped = ref false in
   String.iter
     (fun c ->
-      if c = '\'' then in_quote := not !in_quote
+      if !escaped then begin
+        Buffer.add_char buf c;
+        escaped := false
+      end
+      else if c = '\'' then in_quote := not !in_quote
+      else if c = '\\' && not !in_quote then escaped := true
       else if (c = ' ' || c = '\t') && not !in_quote then flush ()
       else Buffer.add_char buf c)
     line;
@@ -106,7 +113,7 @@ let of_line line =
             let* target = int_of flag value in
             parse { acc with target } rest
         | "--schedule" ->
-            let* schedule = Sweep.schedule_of_string value in
+            let* schedule = Schedule.of_string value in
             parse { acc with schedule } rest
         | "--workers" ->
             let* workers = int_of flag value in

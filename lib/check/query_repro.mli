@@ -9,9 +9,10 @@
 
     to every record, so an offending query replays solo — same graph
     file, endpoints, schedule, and worker count — judged against the
-    sequential oracles. {!of_line} accepts a pasted line (leading
-    [check_runner]/[dune exec ... --] tokens are skipped; the schedule
-    may be single-quoted), and {!run} executes it. A* replays without
+    sequential oracles. {!to_line} quotes its words for a POSIX shell
+    ({!Harness.command_line}); {!of_line} accepts a pasted line (leading
+    [check_runner]/[dune exec ... --] tokens are skipped; words may be
+    single-quoted or backslash-escaped), and {!run} executes it. A* replays without
     the server's ALT heuristic (h = 0 is plain PPSP — still exact, so
     the judgement is unchanged); k-core symmetrizes the loaded graph
     exactly like the server does. *)

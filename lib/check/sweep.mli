@@ -10,8 +10,8 @@
 
     plus a few {!Autotune.Search_space} samples, runs the app on each
     point, and judges the result with {!Oracle}. A failing point is
-    shrunk (ddmin over the edge list, then a vertex trim) and reported
-    with a paste-able [check_runner] repro line.
+    shrunk ({!Graph_case.shrink}) and reported with a paste-able
+    [check_runner] repro line; {!Harness} runs the loop.
 
     Everything is deterministic in [seed] — graph contents, sampled
     schedules, and (given the same machine timing) the chaos streams. *)
@@ -21,15 +21,6 @@ type app = Sssp | Wbfs | Ppsp | Astar | Kcore | Setcover
 val all_apps : app list
 val app_to_string : app -> string
 val app_of_string : string -> (app, string) result
-
-(** [schedule_to_string] / [schedule_of_string] round-trip a schedule
-    through the repro-line syntax
-    ([strategy=lazy,delta=2,...,sched=guided]); parsing starts from
-    {!Ordered.Schedule.default}, so keys may be omitted, and validates
-    the result. *)
-val schedule_to_string : Ordered.Schedule.t -> string
-
-val schedule_of_string : string -> (Ordered.Schedule.t, string) result
 
 (** A substrate variant: which storage layout to traverse with, which
     vertex reordering to apply first, and whether the graph must survive
@@ -57,10 +48,6 @@ type config = {
   variant : variant;
 }
 
-(** [repro_line ~seed config] is the [check_runner] invocation that
-    re-runs exactly [config]. *)
-val repro_line : ?chaos:bool -> seed:int -> config -> string
-
 (** [run_one ~pool app case schedule] runs one configuration and judges
     it against [oracle] (default {!Oracle.default}). Engine exceptions
     are reported as [Error] like any mismatch. k-core and set cover run
@@ -79,27 +66,12 @@ val run_one :
   Ordered.Schedule.t ->
   (unit, string) result
 
-(** [shrink ~check case] minimizes [case]'s edge list with ddmin while
-    [check] keeps failing (returns [true]), then trims unused trailing
-    vertices; [None] when no smaller failing case was found. Bounded at
-    a few hundred probes. *)
-val shrink :
-  check:(Graph_case.t -> bool) -> Graph_case.t -> Graph_case.spec option
-
-type failure = {
-  config : config;
-  message : string;
-  shrunk : Graph_case.spec option;
-  repro : string;  (** Repro line for the shrunk (or original) graph. *)
-}
+(** A failure's lane carries nothing: every point is judged by its oracle. *)
+type failure = (config, unit) Harness.failure
 
 type summary = {
-  configs_run : int;
-  per_app : (app * int) list;
-  failures : failure list;
-  elapsed_seconds : float;
-  budget_exhausted : bool;
-  race_findings : int;  (** 0 unless [race] was set. *)
+  checks : (config, unit) Harness.summary;
+  per_app : (app * int) list;  (** Configurations run per app. *)
 }
 
 (** The default graph catalogue for [seed]: random multigraphs, road
@@ -108,13 +80,12 @@ type summary = {
 val default_specs : seed:int -> Graph_case.spec list
 
 (** [run ()] sweeps [apps] × [specs] × [variants] (default
-    {!default_variants}) × the schedule grid × [workers]
-    (pools are created once per worker count and reused) until done or
-    [budget] seconds elapse, stopping early after [max_failures]
-    failures. [chaos] enables seeded scheduling perturbation
-    ({!Parallel.Chaos}) for the whole sweep; [race] enables the
-    plain-write detector ({!Parallel.Race}) and reports its finding
-    count. [log] receives one line per failure and per repro. *)
+    {!default_variants}) × the schedule grid × [workers] with
+    {!Harness.run} until done or [budget] seconds elapse, stopping after
+    [max_failures] failures. [chaos] enables seeded scheduling
+    perturbation ({!Parallel.Chaos}); [race] enables the plain-write
+    detector ({!Parallel.Race}). [log] receives one line per failure and
+    per repro. *)
 val run :
   ?oracle:Oracle.t ->
   ?apps:app list ->
@@ -129,3 +100,11 @@ val run :
   ?log:(string -> unit) ->
   unit ->
   summary
+
+(** The failures-file line of a failure: its message. *)
+val headline : unit -> string -> string
+
+(** The [check_runner] JSON summary: {!Harness.summary_json} plus
+    [per_app]; each failure carries its app, graph, schedule, workers,
+    variant, message, shrunk graph ([null] if unshrunk) and repro line. *)
+val summary_json : seed:int -> summary -> Support.Json.t

@@ -195,15 +195,19 @@ let plan ~old_csr ~new_csr (batch : batch) ~dist ~null =
       Csr.iter_out new_csr u (fun v w ->
           if dirty.(v) then seeds := (v, dist.(u) + w) :: !seeds)
   done;
+  (* Each improving op proposes the edge as it stands in the new graph: a
+     later op of the same batch may have deleted or reweighted it, and a
+     reweight of an edge an earlier op deleted is a no-op. *)
   Array.iter
     (fun op ->
       match op with
       | Delete _ -> ()
-      | Insert { src = u; dst = v; weight = w } | Reweight { src = u; dst = v; weight = w }
-        ->
+      | Insert { src = u; dst = v; _ } | Reweight { src = u; dst = v; _ } ->
           if (not dirty.(u)) && (not dirty.(v)) && dist.(u) <> null then
-            let cand = dist.(u) + w in
-            if dist.(v) = null || cand < dist.(v) then seeds := (v, cand) :: !seeds)
+            Csr.iter_out new_csr u (fun d w ->
+                let cand = dist.(u) + w in
+                if d = v && (dist.(v) = null || cand < dist.(v)) then
+                  seeds := (v, cand) :: !seeds))
     batch;
   let dirty_list = ref [] in
   for v = n - 1 downto 0 do

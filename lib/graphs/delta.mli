@@ -57,7 +57,9 @@ type plan = {
   seeds : (int * int) list;
       (** [(vertex, candidate)] pairs: the clean-to-dirty boundary edges
           of the {e new} graph plus improving-op candidates into clean
-          vertices. Feed each through [update_priority_min]. *)
+          vertices, each read from the op's edge as it stands in the new
+          graph (none if the batch removed it). Feed each through
+          [update_priority_min]. *)
   affected : int;  (** [|dirty| + |seeds|] — the fallback measure. *)
 }
 

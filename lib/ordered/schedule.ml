@@ -85,6 +85,44 @@ let sched_of_string = function
   | "guided" -> Ok (Some Parallel.Pool.Guided)
   | s -> Error (Printf.sprintf "unknown loop schedule %S" s)
 
+let to_string t =
+  Printf.sprintf
+    "strategy=%s,delta=%d,threshold=%d,buckets=%d,traversal=%s,chunk=%d,sched=%s,incr=%g"
+    (strategy_to_string t.strategy)
+    t.delta t.fusion_threshold t.num_open_buckets
+    (traversal_to_string t.traversal)
+    t.chunk_size (sched_to_string t.sched) t.incremental_threshold
+
+let of_string str =
+  let field s kv =
+    Result.bind s (fun s ->
+        match String.index_opt kv '=' with
+        | None -> Error (Printf.sprintf "schedule: expected key=value, got %S" kv)
+        | Some i -> (
+            let key = String.sub kv 0 i in
+            let v = String.sub kv (i + 1) (String.length kv - i - 1) in
+            let number parse what set =
+              match parse v with
+              | Some x -> Ok (set x)
+              | None -> Error (Printf.sprintf "schedule: %s is not %s: %S" key what v)
+            in
+            let int = number int_of_string_opt "an integer" in
+            match key with
+            | "strategy" -> Result.map (fun strategy -> { s with strategy }) (strategy_of_string v)
+            | "delta" -> int (fun delta -> { s with delta })
+            | "threshold" -> int (fun fusion_threshold -> { s with fusion_threshold })
+            | "buckets" -> int (fun num_open_buckets -> { s with num_open_buckets })
+            | "traversal" ->
+                Result.map (fun traversal -> { s with traversal }) (traversal_of_string v)
+            | "chunk" -> int (fun chunk_size -> { s with chunk_size })
+            | "sched" -> Result.map (fun sched -> { s with sched }) (sched_of_string v)
+            | "incr" ->
+                number float_of_string_opt "a float" (fun incremental_threshold ->
+                    { s with incremental_threshold })
+            | _ -> Error (Printf.sprintf "schedule: unknown key %S" key)))
+  in
+  Result.bind (List.fold_left field (Ok default) (String.split_on_char ',' str)) validate
+
 let pp ppf t =
   Format.fprintf ppf
     "configApplyPriorityUpdate(%S); configApplyPriorityUpdateDelta(%d); \

@@ -79,6 +79,14 @@ val sched_of_string : string -> (Parallel.Pool.sched option, string) result
 
 val sched_to_string : Parallel.Pool.sched option -> string
 
+(** [to_string] / [of_string] round-trip a schedule through the repro-line
+    syntax ([strategy=lazy,delta=2,...,sched=guided,incr=0.25]).
+    Parsing starts from {!default}, so keys may be omitted, and validates
+    the result. *)
+val to_string : t -> string
+
+val of_string : string -> (t, string) result
+
 (** [is_eager t] is true for both eager strategies. *)
 val is_eager : t -> bool
 

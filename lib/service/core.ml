@@ -223,7 +223,7 @@ let next_trace t = Atomic.fetch_and_add t.trace_counter 1
 (* Per-query attribution (docs/OBSERVABILITY.md §8a)                   *)
 
 let schedule_string t =
-  Check.Sweep.schedule_to_string t.config.Config.schedule
+  Ordered.Schedule.to_string t.config.Config.schedule
 
 (* The paste-able check_runner line that replays this query solo — only
    when the server knows which file it loaded the graph from. *)

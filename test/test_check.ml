@@ -13,8 +13,9 @@ module Schedule = Ordered.Schedule
 module Graph_case = Check.Graph_case
 module Oracle = Check.Oracle
 module Sweep = Check.Sweep
+module Harness = Check.Harness
 
-(* ---------------- printable specs and schedules ---------------- *)
+(* ---------------- printable specs ---------------- *)
 
 let test_graph_spec_roundtrip () =
   let specs =
@@ -39,45 +40,27 @@ let test_graph_spec_roundtrip () =
       | Error e -> Alcotest.fail (Printf.sprintf "parse %S: %s" s e))
     specs
 
-let test_schedule_roundtrip () =
-  let cases =
-    [
-      Schedule.default;
-      {
-        Schedule.default with
-        strategy = Schedule.Lazy;
-        delta = 8;
-        traversal = Schedule.Dense_pull;
-        num_open_buckets = 512;
-        sched = Some Pool.Guided;
-      };
-      {
-        Schedule.default with
-        strategy = Schedule.Eager_no_fusion;
-        delta = 2;
-        chunk_size = 64;
-        sched = Some Pool.Static;
-      };
-    ]
-  in
+(* Slow-query records carry these lines and CI evals them, so the graph
+   path must survive a shell and [of_line] whatever characters it holds. *)
+let test_query_repro_quotes_paths () =
   List.iter
-    (fun sched ->
-      let s = Sweep.schedule_to_string sched in
-      match Sweep.schedule_of_string s with
-      | Ok sched' ->
-          Alcotest.(check string) ("round-trip " ^ s) s
-            (Sweep.schedule_to_string sched');
-          Alcotest.(check bool) ("equal schedule " ^ s) true (sched = sched')
-      | Error e -> Alcotest.fail (Printf.sprintf "parse %S: %s" s e))
-    cases
-
-let test_schedule_parse_rejects_invalid () =
-  (match Sweep.schedule_of_string "strategy=eager_with_fusion,traversal=DensePull" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "pull+eager must not validate");
-  match Sweep.schedule_of_string "delta=nope" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad integer must not parse"
+    (fun graph_file ->
+      let r =
+        {
+          Check.Query_repro.app = Check.Query_repro.Ppsp;
+          graph_file;
+          symmetric = true;
+          source = 3;
+          target = 7;
+          schedule = Schedule.default;
+          workers = 2;
+        }
+      in
+      let line = Check.Query_repro.to_line r in
+      match Check.Query_repro.of_line line with
+      | Ok r' -> Alcotest.(check bool) ("round-trip " ^ line) true (r = r')
+      | Error e -> Alcotest.fail (Printf.sprintf "parse %S: %s" line e))
+    [ "road.el"; "/tmp/my graphs/road.el"; "/tmp/it's/road.el" ]
 
 (* ---------------- the sweep on the real engine ---------------- *)
 
@@ -93,8 +76,8 @@ let test_small_sweep_clean () =
       ~workers:[ 2 ] ~budget:30.0 ~seed:11 ()
   in
   Alcotest.(check (list string)) "no failures" []
-    (List.map (fun (f : Sweep.failure) -> f.message) summary.Sweep.failures);
-  Alcotest.(check bool) "ran configs" true (summary.Sweep.configs_run > 0);
+    (List.map (fun (f : Sweep.failure) -> f.message) summary.Sweep.checks.failures);
+  Alcotest.(check bool) "ran configs" true (summary.Sweep.checks.configs_run > 0);
   List.iter
     (fun app ->
       Alcotest.(check bool)
@@ -124,8 +107,8 @@ let test_variant_sweep_clean () =
       ~workers:[ 2 ] ~budget:20.0 ~seed:21 ()
   in
   Alcotest.(check (list string)) "no failures" []
-    (List.map (fun (f : Sweep.failure) -> f.message) summary.Sweep.failures);
-  Alcotest.(check bool) "ran configs" true (summary.Sweep.configs_run > 0)
+    (List.map (fun (f : Sweep.failure) -> f.message) summary.Sweep.checks.failures);
+  Alcotest.(check bool) "ran configs" true (summary.Sweep.checks.configs_run > 0)
 
 let test_sweep_chaos_race_silent () =
   (* The acceptance bar: chaos on, detector armed, engine still clean. *)
@@ -136,9 +119,9 @@ let test_sweep_chaos_race_silent () =
       ~workers:[ 4 ] ~budget:30.0 ~seed:4 ~chaos:true ~race:true ()
   in
   Alcotest.(check (list string)) "no failures under chaos" []
-    (List.map (fun (f : Sweep.failure) -> f.message) summary.Sweep.failures);
+    (List.map (fun (f : Sweep.failure) -> f.message) summary.Sweep.checks.failures);
   Alcotest.(check int) "no race findings on the engine" 0
-    summary.Sweep.race_findings;
+    summary.Sweep.checks.race_findings;
   Alcotest.(check bool) "chaos sweep left chaos off" false (Chaos.enabled ());
   Alcotest.(check bool) "race sweep left detector off" false (Race.enabled ())
 
@@ -153,14 +136,11 @@ let test_forced_mismatch_shrinks () =
       ~specs:[ Graph_case.Random { seed = 3; n = 48; m = 200; max_w = 12 } ]
       ~workers:[ 2 ] ~budget:30.0 ~seed:3 ~max_failures:1 ()
   in
-  match summary.Sweep.failures with
+  match summary.Sweep.checks.failures with
   | [] -> Alcotest.fail "broken oracle produced no failure"
   | f :: _ -> (
-      Alcotest.(check bool) "message mentions the forced mismatch" true
-        (String.length f.message > 0);
-      match f.shrunk with
-      | None -> Alcotest.fail "no shrunk counterexample"
-      | Some (Graph_case.Explicit { edges; _ } as spec) ->
+      match f.shrunk.Sweep.spec with
+      | Graph_case.Explicit { edges; _ } as spec ->
           Alcotest.(check bool)
             (Printf.sprintf "shrunk to %d <= 10 edges" (List.length edges))
             true
@@ -177,7 +157,8 @@ let test_forced_mismatch_shrinks () =
           in
           Alcotest.(check bool) "repro embeds the shrunk spec" true
             (contains f.repro spec_string);
-          (* And the line's pieces actually reproduce the failure. *)
+          (* And the line's pieces actually reproduce the failure, with
+             the message the record carries. *)
           let spec' =
             match Graph_case.of_string spec_string with
             | Ok s -> s
@@ -187,13 +168,50 @@ let test_forced_mismatch_shrinks () =
           Pool.with_pool ~num_workers:2 (fun pool ->
               match
                 Sweep.run_one ~oracle:broken_oracle ~pool Sweep.Sssp case
-                  f.config.Sweep.schedule
+                  f.shrunk.Sweep.schedule
               with
-              | Error _ -> ()
+              | Error message ->
+                  Alcotest.(check string) "message is the shrunk run's" message
+                    f.message
               | Ok () -> Alcotest.fail "shrunk case no longer fails")
-      | Some other ->
+      | other ->
           Alcotest.fail
             ("shrunk spec is not explicit: " ^ Graph_case.to_string other))
+
+(* ---------------- the shared shrinker ---------------- *)
+
+(* ddmin against a deterministic, non-monotone predicate: the array fails
+   while it holds at least [k] multiples of [d] and its length is not 3
+   mod 4. The result must still fail, the probe cap must hold, and a
+   shrink that stayed under the cap must be 1-minimal. *)
+let qcheck_ddmin =
+  QCheck.Test.make ~name:"ddmin stays failing, capped, 1-minimal" ~count:300
+    QCheck.(
+      quad (list_of_size (Gen.int_range 0 40) (int_bound 50)) (int_range 1 5)
+        (int_range 0 4) (int_range 0 60))
+    (fun (parts, d, k, cap) ->
+      let fails a =
+        Array.length a mod 4 <> 3
+        && Array.fold_left (fun n x -> if x mod d = 0 then n + 1 else n) 0 a >= k
+      in
+      let parts = Array.of_list parts in
+      QCheck.assume (fails parts);
+      let calls = ref 0 in
+      let result =
+        Harness.ddmin (Harness.probes ~max:cap)
+          (fun a ->
+            incr calls;
+            fails a)
+          parts
+      in
+      let minimal () =
+        List.for_all
+          (fun i ->
+            not (fails (Array.append (Array.sub result 0 i)
+                          (Array.sub result (i + 1) (Array.length result - i - 1)))))
+          (List.init (Array.length result) Fun.id)
+      in
+      fails result && !calls <= cap && (!calls = cap || minimal ()))
 
 (* ---------------- race detector ---------------- *)
 
@@ -314,9 +332,8 @@ let () =
       ( "printable",
         [
           Alcotest.test_case "graph spec round-trip" `Quick test_graph_spec_roundtrip;
-          Alcotest.test_case "schedule round-trip" `Quick test_schedule_roundtrip;
-          Alcotest.test_case "schedule rejects invalid" `Quick
-            test_schedule_parse_rejects_invalid;
+          Alcotest.test_case "query repro quotes paths" `Quick
+            test_query_repro_quotes_paths;
         ] );
       ( "sweep",
         [
@@ -328,6 +345,7 @@ let () =
           Alcotest.test_case "forced mismatch shrinks" `Quick
             test_forced_mismatch_shrinks;
         ] );
+      ("harness", [ QCheck_alcotest.to_alcotest qcheck_ddmin ]);
       ( "race",
         [
           Alcotest.test_case "catches racy fixture" `Quick

@@ -106,8 +106,9 @@ let test_all_specs_run () =
         (fun spec ->
           match Dsl_sweep.run_one ~pool ~ref_pool spec case Schedule.default with
           | Ok () -> ()
-          | Error msg ->
-              Alcotest.fail (Dsl_case.to_string spec ^ ": " ^ msg))
+          | Error (lane, msg) ->
+              Alcotest.fail
+                (Dsl_case.to_string spec ^ ": " ^ Dsl_sweep.headline lane msg))
         (List.concat_map
            (fun f -> [ bare f; full f ])
            Dsl_case.all_families))
@@ -128,8 +129,9 @@ let test_compiled_lane_when_available () =
                   Schedule.default
               with
               | Ok () -> ()
-              | Error msg ->
-                  Alcotest.fail (Dsl_case.to_string spec ^ ": " ^ msg))
+              | Error (lane, msg) ->
+                  Alcotest.fail
+                    (Dsl_case.to_string spec ^ ": " ^ Dsl_sweep.headline lane msg))
             [ full Dsl_case.Min_relax; bare Dsl_case.Sum_peel ])
 
 (* ---------------- sweeps ---------------- *)
@@ -141,9 +143,10 @@ let test_clean_mini_sweep () =
       ~graphs:[ Graph_case.Path 8; Graph_case.Self_loops 5 ]
       ~workers:[ 2 ] ~budget:60. ~seed:11 ~compiled:false ()
   in
-  Alcotest.(check int) "no failures" 0 (List.length summary.Dsl_sweep.failures);
+  Alcotest.(check int) "no failures" 0
+    (List.length summary.Dsl_sweep.checks.failures);
   Alcotest.(check bool) "ran configurations" true
-    (summary.Dsl_sweep.configs_run > 0)
+    (summary.Dsl_sweep.checks.configs_run > 0)
 
 (* The forced-bug loop: graft the wrong lowering, demand detection,
    shrinking to the bare skeleton, and a repro that still fails. *)
@@ -155,20 +158,20 @@ let test_forced_bug_detected_and_shrunk () =
       ~workers:[ 1 ] ~budget:120. ~seed:5 ~max_failures:1
       ~bug:Dsl_sweep.Wrong_weight ~compiled:false ()
   in
-  match summary.Dsl_sweep.failures with
+  match summary.Dsl_sweep.checks.failures with
   | [] -> Alcotest.fail "wrong-weight bug not detected"
   | f :: _ ->
-      let shrunk =
-        match f.Dsl_sweep.shrunk_program with
-        | Some s -> s
-        | None -> Alcotest.fail "program did not shrink"
-      in
+      let shrunk = f.shrunk.Dsl_sweep.spec in
+      Alcotest.(check bool) "program shrank" true
+        (shrunk <> f.original.Dsl_sweep.spec);
       Alcotest.(check bool)
         (Printf.sprintf "shrunk to <= 5 statements (%s = %d)"
            (Dsl_case.to_string shrunk)
            (Dsl_case.num_statements shrunk))
         true
         (Dsl_case.num_statements shrunk <= 5);
+      Alcotest.(check string) "fails in the engine lane" "engine"
+        (Dsl_sweep.lane_to_string f.lane);
       let contains sub s =
         let re = Str.regexp_string sub in
         try
@@ -177,22 +180,23 @@ let test_forced_bug_detected_and_shrunk () =
         with Not_found -> false
       in
       Alcotest.(check bool) "repro line names the dsl mode" true
-        (contains "check_runner --dsl --program" f.Dsl_sweep.repro);
+        (contains "check_runner --dsl --program" f.repro);
       Alcotest.(check bool) "repro line carries the bug" true
-        (contains "--bug wrong-weight" f.Dsl_sweep.repro);
-      (* replay the shrunk configuration: it must still fail *)
-      let graph_spec =
-        Option.value ~default:f.Dsl_sweep.config.Dsl_sweep.graph
-          f.Dsl_sweep.shrunk_graph
-      in
-      let case = Graph_case.build graph_spec in
+        (contains "--bug wrong-weight" f.repro);
+      (* replay the shrunk configuration: it must still fail, with the
+         lane and message the record carries *)
+      let case = Graph_case.build f.shrunk.Dsl_sweep.graph in
       with_pools (fun ~pool ~ref_pool ->
           match
             Dsl_sweep.run_one ~bug:Dsl_sweep.Wrong_weight ~pool ~ref_pool
-              shrunk case f.Dsl_sweep.config.Dsl_sweep.schedule
+              shrunk case f.shrunk.Dsl_sweep.schedule
           with
-          | Ok () -> Alcotest.fail ("shrunk repro passes: " ^ f.Dsl_sweep.repro)
-          | Error _ -> ())
+          | Ok () -> Alcotest.fail ("shrunk repro passes: " ^ f.repro)
+          | Error (lane, message) ->
+              Alcotest.(check string) "replayed lane" "engine"
+                (Dsl_sweep.lane_to_string lane);
+              Alcotest.(check string) "message is the shrunk run's" message
+                f.message)
 
 (* Sum_peel is unweighted, so the wrong-weight graft is a no-op there —
    the sweep must stay clean rather than report phantom failures. *)
@@ -204,7 +208,8 @@ let test_bug_noop_for_unweighted () =
       ~workers:[ 1 ] ~budget:60. ~seed:9 ~max_failures:1
       ~bug:Dsl_sweep.Wrong_weight ~compiled:false ()
   in
-  Alcotest.(check int) "no failures" 0 (List.length summary.Dsl_sweep.failures)
+  Alcotest.(check int) "no failures" 0
+    (List.length summary.Dsl_sweep.checks.failures)
 
 let () =
   Alcotest.run "dsl_sweep"

@@ -234,6 +234,38 @@ let test_incremental_fallback () =
       let scratch = (Sssp.run ~pool ~graph:g' ~schedule ~source:0 ()).Sssp.dist in
       dist_equal "fallback exact" scratch inc.Sssp.result.Sssp.dist)
 
+(* An insert or reweight whose edge the same batch removes must not seed
+   the repair: [i:0-2-1,d:0-2] inserts a shortcut and deletes it again,
+   and [d:4-10,r:4-10-1] reweights an edge the batch already deleted.
+   Both repairs must land on Dijkstra's distances for the mutated graph. *)
+let test_incremental_same_batch_removal () =
+  let case =
+    Check.Graph_case.build (Check.Graph_case.Road { seed = 1003; rows = 5; cols = 6 })
+  in
+  let g = Csr.of_edge_list case.Check.Graph_case.el in
+  let schedule = Testlib.schedule () in
+  Pool.with_pool ~num_workers:1 (fun pool ->
+      let prev = (Sssp.run ~pool ~graph:g ~schedule ~source:0 ()).Sssp.dist in
+      List.iter
+        (fun ops ->
+          let batch =
+            match Delta.of_string ops with Ok b -> b | Error e -> Alcotest.fail e
+          in
+          let graph = Delta.apply g batch in
+          let expected = Algorithms.Dijkstra.distances graph ~source:0 in
+          let inc =
+            Sssp.run_incremental ~pool ~old_graph:g ~graph ~schedule ~source:0
+              ~batch ~prev ()
+          in
+          dist_equal (ops ^ ": ordered repair") expected inc.Sssp.result.Sssp.dist;
+          let bf =
+            Algorithms.Bellman_ford.run_incremental ~pool ~old_graph:g ~graph
+              ~source:0 ~batch ~prev ()
+          in
+          dist_equal (ops ^ ": unordered repair") expected
+            bf.Algorithms.Bellman_ford.dist)
+        [ "i:0-2-1,d:0-2"; "d:4-10,r:4-10-1" ])
+
 (* ---------------- per-version caches: push vs pull ---------------- *)
 
 (* The regression the version keying exists for: warm every derived
@@ -525,6 +557,8 @@ let () =
           QCheck_alcotest.to_alcotest (qcheck_incremental ~traversal:Schedule.Dense_pull ~workers:2);
           QCheck_alcotest.to_alcotest (qcheck_incremental ~traversal:Schedule.Hybrid ~workers:4);
           Alcotest.test_case "threshold 0 falls back" `Quick test_incremental_fallback;
+          Alcotest.test_case "same-batch removal seeds nothing" `Quick
+            test_incremental_same_batch_removal;
         ] );
       ( "caches",
         [

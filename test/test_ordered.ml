@@ -38,6 +38,47 @@ let test_schedule_validation () =
   | Ok Schedule.Dense_pull -> ()
   | _ -> Alcotest.fail "parse DensePull")
 
+(* The repro-line syntax every checker prints: printing then parsing is
+   the identity, and parsing validates. *)
+let test_schedule_string_roundtrip () =
+  let cases =
+    [
+      Schedule.default;
+      {
+        Schedule.default with
+        strategy = Schedule.Lazy;
+        delta = 8;
+        traversal = Schedule.Dense_pull;
+        num_open_buckets = 512;
+        sched = Some Pool.Guided;
+      };
+      {
+        Schedule.default with
+        strategy = Schedule.Eager_no_fusion;
+        delta = 2;
+        chunk_size = 64;
+        sched = Some Pool.Static;
+      };
+    ]
+  in
+  List.iter
+    (fun sched ->
+      let s = Schedule.to_string sched in
+      match Schedule.of_string s with
+      | Ok sched' ->
+          Alcotest.(check string) ("round-trip " ^ s) s (Schedule.to_string sched');
+          Alcotest.(check bool) ("equal schedule " ^ s) true (sched = sched')
+      | Error e -> Alcotest.fail (Printf.sprintf "parse %S: %s" s e))
+    cases
+
+let test_schedule_string_rejects_invalid () =
+  (match Schedule.of_string "strategy=eager_with_fusion,traversal=DensePull" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "pull+eager must not validate");
+  match Schedule.of_string "delta=nope" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "bad integer must not parse"
+
 let test_engine_requires_transpose_for_pull () =
   let g = random_weighted_graph 1 ~n:20 ~m:60 ~max_w:5 in
   Pool.with_pool ~num_workers:1 (fun pool ->
@@ -677,6 +718,9 @@ let () =
       ( "schedule",
         [
           Alcotest.test_case "validation" `Quick test_schedule_validation;
+          Alcotest.test_case "string round-trip" `Quick test_schedule_string_roundtrip;
+          Alcotest.test_case "string rejects invalid" `Quick
+            test_schedule_string_rejects_invalid;
           Alcotest.test_case "pull requires transpose" `Quick
             test_engine_requires_transpose_for_pull;
         ] );

@@ -722,7 +722,7 @@ let test_batch_attribution_records () =
                engine_rounds)
             true
             (rounds >= 0 && rounds <= engine_rounds);
-          (match Check.Sweep.schedule_of_string (log_str "schedule" r) with
+          (match Ordered.Schedule.of_string (log_str "schedule" r) with
           | Ok _ -> ()
           | Error e -> Alcotest.fail ("schedule field does not parse: " ^ e));
           Alcotest.(check bool) "edges attributed" true
