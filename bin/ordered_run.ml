@@ -24,6 +24,36 @@ let make_schedule strategy delta threshold buckets traversal =
       traversal;
     }
 
+(* The --rounds table: one row per engine round (the middle of runs
+   longer than 40 rounds elided), then phase totals over every round. *)
+let print_rounds rounds =
+  let total = List.length rounds and max_rows = 40 in
+  let row (r : Ordered.Engine.round) =
+    Printf.printf "%6d %12d %12d %10d %6s %8d %9.3f %9.3f\n" r.index r.bucket_key
+      r.priority r.frontier_size
+      (match r.direction with Traverse.Edge_map.Ran_push -> "push" | Ran_pull -> "pull")
+      r.fused_drains (1e3 *. r.wall_seconds) (1e3 *. r.traverse_seconds)
+  in
+  Printf.printf "%6s %12s %12s %10s %6s %8s %9s %9s\n" "round" "bucket" "priority"
+    "frontier" "dir" "fused" "wall(ms)" "trav(ms)";
+  let half = max_rows / 2 in
+  List.iteri
+    (fun i r ->
+      if total <= max_rows || i < half || i >= total - half then row r
+      else if i = half then
+        Printf.printf "  ... %d rounds elided ...\n" (total - (2 * half)))
+    rounds;
+  let sum f = 1e3 *. List.fold_left (fun acc r -> acc +. f r) 0.0 rounds in
+  if total > 0 then
+    Printf.printf
+      "phase totals over %d rounds: wall=%.3fms dequeue=%.3fms \
+       traverse=%.3fms sync_wait=%.3fms\n"
+      total
+      (sum (fun r -> r.Ordered.Engine.wall_seconds))
+      (sum (fun r -> r.dequeue_seconds))
+      (sum (fun r -> r.traverse_seconds))
+      (sum (fun r -> r.sync_wait_seconds))
+
 let run algorithm graph_path source target workers strategy delta threshold buckets
     traversal coords_path show_rounds trace_path profile layout reorder
     save_bin =
@@ -117,16 +147,17 @@ let run algorithm graph_path source target workers strategy delta threshold buck
       match algorithm with
       | "sssp" ->
           let graph, handle, _, source, _ = prepare false in
-          let trace = if show_rounds then Some (Ordered.Trace.create ()) else None in
+          let rounds = ref [] in
+          let on_round =
+            if show_rounds then Some (fun _ r -> rounds := r :: !rounds) else None
+          in
           let r, seconds =
             Support.Timer.time (fun () ->
                 Algorithms.Sssp_delta.run ~pool ~graph ~handle ~schedule ~source
-                  ?trace ())
+                  ?on_round ())
           in
           report "sssp" seconds (Some r.stats);
-          (match trace with
-          | Some t -> Format.printf "%a" (Ordered.Trace.pp ?max_rounds:None) t
-          | None -> ())
+          if show_rounds then print_rounds (List.rev !rounds)
       | "wbfs" ->
           let graph, handle, _, source, _ = prepare false in
           let r, seconds =

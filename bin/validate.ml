@@ -51,27 +51,22 @@ let run algorithm graph_path source max_workers =
   let el = Graphs.Graph_io.load graph_path in
   let directed = Graphs.Csr.of_edge_list el in
   let symmetric = lazy (Graphs.Csr.of_edge_list (Graphs.Edge_list.symmetrized el)) in
-  let transpose = lazy (Graphs.Csr.transpose directed) in
+  (* One handle for every schedule: pull runs share its cached transpose. *)
+  let handle = Graphs.Handle.create directed in
   let oracle, run_one =
     match algorithm with
     | "sssp" ->
         ( Algorithms.Dijkstra.distances directed ~source,
           fun pool schedule ->
-            let t =
-              if schedule.Schedule.traversal = Schedule.Sparse_push then None
-              else Some (Lazy.force transpose)
-            in
-            (Algorithms.Sssp_delta.run ~pool ~graph:directed ?transpose:t ~schedule
+            (Algorithms.Sssp_delta.run ~pool ~graph:directed ~handle ~schedule
                ~source ())
               .dist )
     | "widest" ->
         ( Algorithms.Widest_path.sequential directed ~source,
           fun pool schedule ->
-            if schedule.Schedule.traversal <> Schedule.Sparse_push then
-              failwith "skip: widest path uses push traversal"
-            else
-              (Algorithms.Widest_path.run ~pool ~graph:directed ~schedule ~source ())
-                .capacity )
+            (Algorithms.Widest_path.run ~pool ~graph:directed ~handle ~schedule
+               ~source ())
+              .capacity )
     | "kcore" ->
         ( Algorithms.Kcore_peel_seq.coreness (Lazy.force symmetric),
           fun pool schedule ->
@@ -93,7 +88,7 @@ let run algorithm graph_path source max_workers =
     (Graphs.Csr.num_edges directed);
   Printf.printf "%d schedules x %d worker counts against the sequential oracle\n\n"
     (List.length schedules) (List.length worker_counts);
-  let failures = ref 0 and skipped = ref 0 and passed = ref 0 in
+  let failures = ref 0 and passed = ref 0 in
   List.iter
     (fun workers ->
       Parallel.Pool.with_pool ~num_workers:workers (fun pool ->
@@ -109,16 +104,13 @@ let run algorithm graph_path source max_workers =
                     incr failures;
                     Printf.printf "  FAIL  workers=%d  %s\n" workers (describe schedule)
                   end
-              | exception Failure msg when String.length msg >= 4
-                                           && String.sub msg 0 4 = "skip" ->
-                  incr skipped
               | exception exn ->
                   incr failures;
                   Printf.printf "  ERROR workers=%d  %s: %s\n" workers
                     (describe schedule) (Printexc.to_string exn))
             schedules))
     worker_counts;
-  Printf.printf "\n%d passed, %d failed, %d skipped\n" !passed !failures !skipped;
+  Printf.printf "\n%d passed, %d failed\n" !passed !failures;
   if !failures > 0 then exit 1
 
 let () =

@@ -8,8 +8,9 @@ type result = {
   stats : Ordered.Stats.t;
 }
 
-let run ~pool ~graph ?coords ?heuristic ?transpose ?handle ~schedule ~source
-    ~target ?deadline () =
+let run ~pool ~graph ?coords ?heuristic ?handle ~schedule ~source ~target
+    ?deadline () =
+  let handle = Graphs.Handle.resolve handle graph in
   let n = Graphs.Csr.num_vertices graph in
   if source < 0 || source >= n || target < 0 || target >= n then
     invalid_arg "Astar.run: endpoint out of range";
@@ -53,8 +54,5 @@ let run ~pool ~graph ?coords ?heuristic ?transpose ?handle ~schedule ~source
     Atomic_array.get dist target <> Bucket_order.null_priority
     && Pq.finished_vertex pq target
   in
-  let stats =
-    Engine.run ~pool ~graph ?transpose ?handle ~schedule ~pq ~edge_fn ~stop
-      ?deadline ()
-  in
+  let stats = Engine.run ~pool ~handle ~schedule ~pq ~edge_fn ~stop ?deadline () in
   { distance = Atomic_array.get dist target; stats }

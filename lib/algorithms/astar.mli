@@ -34,7 +34,6 @@ val run :
   graph:Graphs.Csr.t ->
   ?coords:Graphs.Coords.t ->
   ?heuristic:(int -> int) ->
-  ?transpose:Graphs.Csr.t ->
   ?handle:Graphs.Handle.t ->
   schedule:Ordered.Schedule.t ->
   source:int ->

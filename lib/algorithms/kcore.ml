@@ -9,7 +9,6 @@ type result = {
 }
 
 let run ~pool ~graph ?handle ~schedule ?deadline () =
-  let n = Graphs.Csr.num_vertices graph in
   let degrees = Atomic_array.of_array (Graphs.Csr.out_degrees_cached graph) in
   let constant_sum_delta =
     match schedule.Ordered.Schedule.strategy with
@@ -34,8 +33,8 @@ let run ~pool ~graph ?handle ~schedule ?deadline () =
           let k = Pq.current_priority pq in
           Pq.update_priority_sum pq ctx dst ~diff:(-1) ~floor:k
   in
-  let stats = Engine.run ~pool ~graph ?handle ~schedule ~pq ~edge_fn ?deadline () in
-  ignore n;
+  let handle = Graphs.Handle.resolve handle graph in
+  let stats = Engine.run ~pool ~handle ~schedule ~pq ~edge_fn ?deadline () in
   { coreness = Atomic_array.to_array degrees; stats }
 
 let max_core r = Array.fold_left max 0 r.coreness

@@ -13,7 +13,6 @@ type result = {
 val run :
   pool:Parallel.Pool.t ->
   graph:Graphs.Csr.t ->
-  ?transpose:Graphs.Csr.t ->
   ?handle:Graphs.Handle.t ->
   schedule:Ordered.Schedule.t ->
   source:int ->

@@ -30,7 +30,8 @@ let run ~pool ~graph ~schedule () =
     let s = Pq.current_priority pq in
     Pq.update_priority_sum pq ctx dst ~diff:(-weight) ~floor:s
   in
-  let stats = Engine.run ~pool ~graph ~schedule ~pq ~edge_fn () in
+  let handle = Graphs.Handle.create graph in
+  let stats = Engine.run ~pool ~handle ~schedule ~pq ~edge_fn () in
   { coreness = Atomic_array.to_array strength; stats }
 
 let sequential graph =

@@ -74,16 +74,11 @@ let run ~pool ~graph ?handle ~schedule ?costs () =
   let candidates = Array.init workers (fun _ -> Int_vec.create ()) in
   let covered_delta = Array.make workers 0 in
   let scratch = Scratch.create ~pool ~graph in
-  (* All three sweeps below are push-direction; a non-plain handle routes
-     them through the kernel instance specialized for its layout. *)
+  (* All three sweeps below are push-direction, on the handle's layout. *)
+  let layout = Graphs.Handle.graph (Graphs.Handle.resolve handle graph) in
   let sweep ?filter ?vertex_begin ?vertex_end ?chunk frontier ~f =
-    match handle with
-    | Some h when Graphs.Handle.kind h <> Graphs.Layout.Plain ->
-        Edge_map.run_layout scratch ~graph:(Graphs.Handle.graph h) ?filter
-          ?vertex_begin ?vertex_end ?chunk ~direction:Edge_map.Push frontier ~f
-    | _ ->
-        Edge_map.run scratch ~graph ?filter ?vertex_begin ?vertex_end ?chunk
-          ~direction:Edge_map.Push frontier ~f
+    Edge_map.run_layout scratch ~graph:layout ?filter ?vertex_begin ?vertex_end
+      ?chunk ~direction:Edge_map.Push frontier ~f
   in
   (* The kernel's edge function sees only out-edges; the set of [s] also
      covers [s] itself, so [vertex_begin] accounts for the self element.

@@ -8,24 +8,29 @@ type result = {
   stats : Ordered.Stats.t;
 }
 
-let run ~pool ~graph ?transpose ?handle ~schedule ~source ?deadline ?trace () =
+let create_pq ~pool ~schedule ~initial dist =
+  Pq.create ~schedule ~num_workers:(Parallel.Pool.num_workers pool)
+    ~direction:Bucket_order.Lower_first ~allow_coarsening:true ~priorities:dist
+    ~initial ~pool ()
+
+(* The updateEdge user function of Fig. 3: relax and move buckets. Built
+   as a closure of its own so the per-edge call is a full application. *)
+let relax dist pq =
+  let edge_fn ctx ~src ~dst ~weight =
+    Pq.update_priority_min pq ctx dst (Atomic_array.get dist src + weight)
+  in
+  edge_fn
+
+let run ~pool ~graph ?handle ~schedule ~source ?deadline ?on_round () =
+  let handle = Graphs.Handle.resolve handle graph in
   let n = Graphs.Csr.num_vertices graph in
   if source < 0 || source >= n then invalid_arg "Sssp_delta.run: source out of range";
   let dist = Atomic_array.make n Bucket_order.null_priority in
   Atomic_array.set dist source 0;
-  let pq =
-    Pq.create ~schedule ~num_workers:(Parallel.Pool.num_workers pool)
-      ~direction:Bucket_order.Lower_first ~allow_coarsening:true ~priorities:dist
-      ~initial:(Pq.Start_vertex source) ~pool ()
-  in
-  (* The updateEdge user function of Fig. 3: relax and move buckets. *)
-  let edge_fn ctx ~src ~dst ~weight =
-    let new_dist = Atomic_array.get dist src + weight in
-    Pq.update_priority_min pq ctx dst new_dist
-  in
+  let pq = create_pq ~pool ~schedule ~initial:(Pq.Start_vertex source) dist in
+  let edge_fn = relax dist pq in
   let stats =
-    Engine.run ~pool ~graph ?transpose ?handle ~schedule ~pq ~edge_fn ?deadline
-      ?trace ()
+    Engine.run ~pool ~handle ~schedule ~pq ~edge_fn ?deadline ?on_round ()
   in
   { dist = Atomic_array.to_array dist; stats }
 
@@ -35,8 +40,9 @@ type incremental = {
   fell_back : bool;
 }
 
-let run_incremental ~pool ~old_graph ~graph ?transpose ?handle ~schedule ~source
-    ~batch ~prev ?deadline ?trace () =
+let run_incremental ~pool ~old_graph ~graph ?handle ~schedule ~source ~batch
+    ~prev ?deadline () =
+  let handle = Graphs.Handle.resolve handle graph in
   let n = Graphs.Csr.num_vertices graph in
   if source < 0 || source >= n then
     invalid_arg "Sssp_delta.run_incremental: source out of range";
@@ -50,7 +56,7 @@ let run_incremental ~pool ~old_graph ~graph ?transpose ?handle ~schedule ~source
     int_of_float (schedule.Ordered.Schedule.incremental_threshold *. float_of_int n)
   in
   if plan.Graphs.Delta.affected > threshold then begin
-    let r = run ~pool ~graph ?transpose ?handle ~schedule ~source ?deadline ?trace () in
+    let r = run ~pool ~graph ~handle ~schedule ~source ?deadline () in
     { result = r; affected = plan.Graphs.Delta.affected; fell_back = true }
   end
   else begin
@@ -60,23 +66,16 @@ let run_incremental ~pool ~old_graph ~graph ?transpose ?handle ~schedule ~source
        move; clean vertices keep their (still achievable) distances. *)
     Array.iter (fun v -> Atomic_array.set dist v Bucket_order.null_priority)
       plan.Graphs.Delta.dirty;
-    let pq =
-      Pq.create ~schedule ~num_workers:(Parallel.Pool.num_workers pool)
-        ~direction:Bucket_order.Lower_first ~allow_coarsening:true ~priorities:dist
-        ~initial:Pq.No_initial ~pool ()
-    in
-    let edge_fn ctx ~src ~dst ~weight =
-      let new_dist = Atomic_array.get dist src + weight in
-      Pq.update_priority_min pq ctx dst new_dist
-    in
+    let pq = create_pq ~pool ~schedule ~initial:Pq.No_initial dist in
+    let edge_fn = relax dist pq in
     let seed ctx =
       List.iter
         (fun (v, cand) -> Pq.update_priority_min pq ctx v cand)
         plan.Graphs.Delta.seeds
     in
     let stats =
-      Engine.run_incremental ~pool ~graph ?transpose ?handle ~schedule ~pq ~edge_fn
-        ~seed ?deadline ?trace ()
+      Engine.run_incremental ~pool ~handle ~schedule ~pq ~edge_fn ~seed
+        ?deadline ()
     in
     {
       result = { dist = Atomic_array.to_array dist; stats };

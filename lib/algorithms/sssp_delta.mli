@@ -13,18 +13,19 @@ type result = {
 (** [run ~pool ~graph ~schedule ~source ()] executes Δ-stepping with
     [schedule.delta] as the priority-coarsening factor.
 
-    @param transpose required when [schedule.traversal] is [Dense_pull] or
-      [Hybrid].
-    @param trace records one entry per round (see {!Ordered.Trace}). *)
+    @param handle the handle the engine runs on: its layout, and its
+      cached transpose for [Dense_pull]/[Hybrid] schedules. It must wrap
+      [graph] itself ([Invalid_argument] otherwise, see
+      {!Graphs.Handle.resolve}); omitted, a fresh plain handle is used.
+    @param on_round the engine's per-round hook ({!Ordered.Engine.run}). *)
 val run :
   pool:Parallel.Pool.t ->
   graph:Graphs.Csr.t ->
-  ?transpose:Graphs.Csr.t ->
   ?handle:Graphs.Handle.t ->
   schedule:Ordered.Schedule.t ->
   source:int ->
   ?deadline:Ordered.Deadline.t ->
-  ?trace:Ordered.Trace.t ->
+  ?on_round:(Ordered.Stats.t -> Ordered.Engine.round -> unit) ->
   unit ->
   result
 
@@ -45,18 +46,16 @@ type incremental = {
     affected set ({!Graphs.Delta.plan}), unlearns dirty distances, and
     re-seeds the bucket structures from the clean boundary — identical
     results to a from-scratch [run] on [graph], usually at a fraction of
-    the work. [transpose]/[handle] must describe the {e new} graph. *)
+    the work. [handle], as in {!run}, must wrap the {e new} graph. *)
 val run_incremental :
   pool:Parallel.Pool.t ->
   old_graph:Graphs.Csr.t ->
   graph:Graphs.Csr.t ->
-  ?transpose:Graphs.Csr.t ->
   ?handle:Graphs.Handle.t ->
   schedule:Ordered.Schedule.t ->
   source:int ->
   batch:Graphs.Delta.batch ->
   prev:int array ->
   ?deadline:Ordered.Deadline.t ->
-  ?trace:Ordered.Trace.t ->
   unit ->
   incremental

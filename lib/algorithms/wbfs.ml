@@ -1,3 +1,3 @@
-let run ~pool ~graph ?transpose ?handle ~schedule ~source () =
+let run ~pool ~graph ?handle ~schedule ~source () =
   let schedule = { schedule with Ordered.Schedule.delta = 1 } in
-  Sssp_delta.run ~pool ~graph ?transpose ?handle ~schedule ~source ()
+  Sssp_delta.run ~pool ~graph ?handle ~schedule ~source ()

@@ -8,7 +8,6 @@
 val run :
   pool:Parallel.Pool.t ->
   graph:Graphs.Csr.t ->
-  ?transpose:Graphs.Csr.t ->
   ?handle:Graphs.Handle.t ->
   schedule:Ordered.Schedule.t ->
   source:int ->

@@ -25,7 +25,8 @@ let run ~pool ~graph ?handle ~schedule ~source ?deadline () =
     let through = min (Atomic_array.get capacity src) weight in
     Pq.update_priority_max pq ctx dst through
   in
-  let stats = Engine.run ~pool ~graph ?handle ~schedule ~pq ~edge_fn ?deadline () in
+  let handle = Graphs.Handle.resolve handle graph in
+  let stats = Engine.run ~pool ~handle ~schedule ~pq ~edge_fn ?deadline () in
   { capacity = Atomic_array.to_array capacity; stats }
 
 let sequential graph ~source =

@@ -45,7 +45,9 @@ type state = {
   globals : (string, value) Hashtbl.t;
   mutable pq : Pq.t option;
   mutable stats : Ordered.Stats.t option;
-  mutable transpose : Csr.t option;
+  (* The ordered loop's graph handle, cached per graph (physical
+     equality) so pull schedules build its transpose once. *)
+  mutable handle : Graphs.Handle.t option;
   mutable printed : string list;
   (* Traversal scratch, cached per graph (physical equality): the edgeset
      ops of an unordered loop reuse one scratch across all iterations. *)
@@ -469,16 +471,13 @@ and run_ordered_loop state frame pos (loop : Analysis.ordered_loop) =
     as_edgeset pos (lookup state frame pos loop.Analysis.edgeset_name)
   in
   let schedule = state.lowered.Lower.loop_schedule in
-  let transpose =
-    match schedule.Schedule.traversal with
-    | Schedule.Dense_pull | Schedule.Hybrid ->
-        (match state.transpose with
-        | Some t -> Some t
-        | None ->
-            let t = Csr.transpose graph in
-            state.transpose <- Some t;
-            Some t)
-    | Schedule.Sparse_push -> None
+  let handle =
+    match state.handle with
+    | Some h when Graphs.Handle.csr h == graph -> h
+    | _ ->
+        let h = Graphs.Handle.create graph in
+        state.handle <- Some h;
+        h
   in
   let edge_fn = compile_udf state pos loop.Analysis.udf.Analysis.udf_name in
   let stop =
@@ -488,7 +487,7 @@ and run_ordered_loop state frame pos (loop : Analysis.ordered_loop) =
         let v = as_int pos (eval state frame e) in
         Some (fun () -> Pq.finished_vertex pq v)
   in
-  let stats = Engine.run ~pool:state.pool ~graph ?transpose ~schedule ~pq ~edge_fn ?stop () in
+  let stats = Engine.run ~pool:state.pool ~handle ~schedule ~pq ~edge_fn ?stop () in
   state.stats <- Some stats
 
 and construct_pq state frame pos name =
@@ -576,7 +575,7 @@ let run lowered ~pool ~argv ?(externs = []) ?(transform = true) () =
       globals = Hashtbl.create 16;
       pq = None;
       stats = None;
-      transpose = None;
+      handle = None;
       printed = [];
       scratch = None;
     }

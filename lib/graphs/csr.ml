@@ -53,6 +53,20 @@ let unsafe_of_arrays ~num_vertices ~offsets ~targets ~weights =
     invalid_arg "Csr.unsafe_of_arrays: offsets do not cover the edge arrays";
   { n = num_vertices; offsets; targets; weights; degrees = None }
 
+let validate g =
+  let n = g.n and o = g.offsets and targets = g.targets in
+  let rec monotone u = u >= n || (o.(u) <= o.(u + 1) && monotone (u + 1)) in
+  let rec in_range i =
+    i >= Array.length targets
+    || (targets.(i) >= 0 && targets.(i) < n && in_range (i + 1))
+  in
+  if o.(0) <> 0 then Error "offsets[0] is not 0"
+  else if not (monotone 0) then Error "offsets are not monotone"
+  else if o.(n) <> Array.length targets then
+    Error "offsets do not end at the edge count"
+  else if not (in_range 0) then Error "an edge target lies outside [0, n)"
+  else Ok ()
+
 let offsets g = g.offsets
 let targets g = g.targets
 let weights g = g.weights

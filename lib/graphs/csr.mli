@@ -19,6 +19,13 @@ val unsafe_of_arrays :
   weights:int array ->
   t
 
+(** [validate g] is the O(n + m) structural check that makes a graph from
+    {!unsafe_of_arrays} safe to traverse (the accessors read targets
+    unchecked): [offsets.(0) = 0], offsets monotone and ending at the
+    edge count, every target in [[0, n)]. Neighbor order and weights are
+    not checked. *)
+val validate : t -> (unit, string) result
+
 (** [offsets g] / [targets g] / [weights g] borrow the underlying flat
     arrays (for serialization and layout conversion). Do not mutate. *)
 val offsets : t -> int array

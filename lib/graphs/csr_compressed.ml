@@ -88,6 +88,47 @@ let unsafe_of_parts ~num_vertices ~num_edges ~degrees ~starts ~data =
     invalid_arg "Csr_compressed.unsafe_of_parts: starts do not cover the data";
   { n = num_vertices; m = num_edges; degrees; starts; data }
 
+(* A bounds-checked [read_varint] for untrusted streams: -1 when the varint
+   runs past [stop] or does not fit a non-negative int. *)
+let read_varint_within data pos stop =
+  let rec go acc shift =
+    if !pos >= stop || shift > 56 then -1
+    else begin
+      let b = Char.code (Bytes.get data !pos) in
+      incr pos;
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b >= 0x80 then go acc (shift + 7) else if acc < 0 then -1 else acc
+    end
+  in
+  go 0 0
+
+let validate g =
+  let exception Bad of string in
+  let n = g.n in
+  try
+    let sum = ref 0 in
+    Array.iter
+      (fun d ->
+        sum := !sum + d;
+        if d < 0 || !sum > g.m then raise (Bad "degrees exceed the edge count"))
+      g.degrees;
+    if !sum <> g.m then raise (Bad "degrees do not sum to the edge count");
+    if g.starts.(0) < 0 || g.starts.(n) > Bytes.length g.data then
+      raise (Bad "starts lie outside the data");
+    for u = 0 to n - 1 do
+      let pos = ref g.starts.(u) and stop = g.starts.(u + 1) in
+      if stop < !pos then raise (Bad "starts are not monotone");
+      let dst = ref u in
+      for k = 1 to g.degrees.(u) do
+        let gap = read_varint_within g.data pos stop in
+        dst := if k = 1 then u + unzigzag gap else !dst + gap;
+        if gap < 0 || !dst < 0 || !dst >= n || read_varint_within g.data pos stop < 0
+        then raise (Bad (Printf.sprintf "vertex %d: edge stream is corrupt" u))
+      done
+    done;
+    Ok ()
+  with Bad msg -> Error msg
+
 (* ---- accessors ---- *)
 
 let num_vertices g = g.n

@@ -44,6 +44,13 @@ val degrees : t -> int array
 val starts : t -> int array
 val data : t -> Bytes.t
 
+(** [validate g] is the O(n + m) structural check that makes a graph from
+    {!unsafe_of_parts} safe to traverse (the decoder reads bytes
+    unchecked): degrees non-negative and summing to the edge count,
+    [starts] monotone within the data, and every vertex's stream decoding
+    inside its own byte range to targets in [[0, n)]. *)
+val validate : t -> (unit, string) result
+
 (** [unsafe_of_parts] adopts previously serialized parts; only lengths and
     the final byte offset are validated. *)
 val unsafe_of_parts :

@@ -109,6 +109,10 @@ let copy_ints (map : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Arr
       let v = Bigarray.Array1.unsafe_get map (off + i) in
       Int64.to_int (if swap then swap64 v else v))
 
+let validate = function
+  | Layout.Plain_graph g -> Csr.validate g
+  | Layout.Compressed_graph g -> Csr_compressed.validate g
+
 let load path =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
   Fun.protect
@@ -130,6 +134,11 @@ let load path =
       let n = get_u64_le header 32 in
       let m = get_u64_le header 40 in
       let aux = get_u64_le header 48 in
+      (* Bound the counts by the file size before any arithmetic on them,
+         so [8 * words] below cannot overflow. Every vertex costs at least
+         one word and every edge at least one byte in either layout. *)
+      if n > size / 8 || m > size || aux > size then
+        invalid path "header counts exceed the file size";
       let need_payload words extra =
         let need = header_bytes + (8 * words) + extra in
         if size < need then
@@ -141,6 +150,9 @@ let load path =
           (Unix.map_file fd ~pos:(Int64.of_int header_bytes) Bigarray.int64
              Bigarray.c_layout false [| words |])
       in
+      let checked g =
+        match validate g with Ok () -> g | Error msg -> invalid path msg
+      in
       match layout with
       | 0 ->
           let words = n + 1 + (2 * m) in
@@ -149,8 +161,9 @@ let load path =
           let offsets = copy_ints map ~off:0 ~len:(n + 1) in
           let targets = copy_ints map ~off:(n + 1) ~len:m in
           let weights = copy_ints map ~off:(n + 1 + m) ~len:m in
-          Layout.Plain_graph
-            (Csr.unsafe_of_arrays ~num_vertices:n ~offsets ~targets ~weights)
+          checked
+            (Layout.Plain_graph
+               (Csr.unsafe_of_arrays ~num_vertices:n ~offsets ~targets ~weights))
       | 1 ->
           let words = n + (n + 1) in
           need_payload words aux;
@@ -169,9 +182,10 @@ let load path =
               Bytes.unsafe_set data i (Bigarray.Array1.unsafe_get bytes_map i)
             done
           end;
-          Layout.Compressed_graph
-            (Csr_compressed.unsafe_of_parts ~num_vertices:n ~num_edges:m
-               ~degrees ~starts ~data)
+          checked
+            (Layout.Compressed_graph
+               (Csr_compressed.unsafe_of_parts ~num_vertices:n ~num_edges:m
+                  ~degrees ~starts ~data))
       | l -> invalid path (Printf.sprintf "unknown layout code %d" l))
 
 let load_csr path = Layout.to_csr (load path)

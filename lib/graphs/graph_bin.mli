@@ -5,12 +5,19 @@
     instead of re-parsing an edge-list text file. The 64-byte header
     records magic, version, an endianness marker, the layout code, and
     the vertex/edge counts; see the spec in docs/INTERNALS.md. Loaders
-    reject unknown versions, bad magic, foreign endianness, and truncated
-    payloads with a descriptive [Failure]. *)
+    reject unknown versions, bad magic, foreign endianness, header counts
+    beyond the file size, truncated payloads, and payloads that fail
+    {!validate} with a descriptive [Failure]. *)
 
 (** [save path ?layout csr] writes [csr] in the given on-disk layout
     (default [Plain]; [Compressed] encodes the varint form first). *)
 val save : string -> ?layout:Layout.kind -> Csr.t -> unit
+
+(** [validate g] is the O(n + m) structural check {!load} applies before
+    returning ({!Csr.validate} or {!Csr_compressed.validate}): the kernels
+    read the loaded arrays unchecked, so a crafted file must not get past
+    it. *)
+val validate : Layout.t -> (unit, string) result
 
 (** [load path] maps the file and returns the graph in its on-disk
     layout. Raises [Failure] on malformed input. *)

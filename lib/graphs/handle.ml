@@ -36,6 +36,24 @@ let version t = t.version
 let num_vertices t = Csr.num_vertices t.csr
 let num_edges t = Csr.num_edges t.csr
 let with_kind kind t = { t with kind }
+
+(* The reversed view swaps the forward and transpose cells, so both
+   directions keep sharing one transpose (plain and compressed) and
+   reversing twice gives back the original cells. *)
+let reverse t =
+  {
+    t with
+    csr = Lazy.force t.transpose_csr;
+    compressed = t.transpose_compressed;
+    transpose_csr = Lazy.from_val t.csr;
+    transpose_compressed = t.compressed;
+  }
+
+let resolve handle graph =
+  match handle with
+  | None -> create graph
+  | Some t when t.csr == graph -> t
+  | Some _ -> invalid_arg "Handle.resolve: ~handle does not wrap ~graph"
 let compressed t = Lazy.force t.compressed
 let transpose_csr t = Lazy.force t.transpose_csr
 

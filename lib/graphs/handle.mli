@@ -44,6 +44,19 @@ val num_edges : t -> int
     layout kind. *)
 val with_kind : Layout.kind -> t -> t
 
+(** [reverse t] views the transpose of [t] as the forward graph, under
+    the same kind and version. It forces the plain transpose and shares
+    both transpose cells with [t], so nothing is rebuilt:
+    [transpose_csr (reverse t) == csr t]. Backward runs (distances {e to}
+    a vertex) run forward over it. *)
+val reverse : t -> t
+
+(** [resolve handle graph] is the handle an algorithm entry point runs
+    on: [handle] when given, else a fresh [Plain] handle around [graph].
+    @raise Invalid_argument when [handle] wraps a CSR other than
+      (physically) [graph]. *)
+val resolve : t option -> Csr.t -> t
+
 (** [graph t] is the forward graph in the handle's layout (cached). *)
 val graph : t -> Layout.t
 

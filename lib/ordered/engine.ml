@@ -1,4 +1,5 @@
 module Pool = Parallel.Pool
+module Handle = Graphs.Handle
 module Csr = Graphs.Csr
 module Vertex_subset = Frontier.Vertex_subset
 module Eager_buckets = Bucketing.Eager_buckets
@@ -8,6 +9,19 @@ module Pq = Priority_queue
 module Span = Observe.Span
 
 type edge_fn = Priority_queue.ctx -> src:int -> dst:int -> weight:int -> unit
+
+type round = {
+  index : int;
+  bucket_key : int;
+  priority : int;
+  frontier_size : int;
+  direction : Edge_map.executed;
+  fused_drains : int;
+  wall_seconds : float;
+  dequeue_seconds : float;
+  traverse_seconds : float;
+  sync_wait_seconds : float;
+}
 
 (* The fused-drain counter stays engine-side (the kernel knows nothing of
    buckets); same padded-slot layout as the kernel's counters. *)
@@ -51,62 +65,31 @@ let fusion_loop graph pq scratch ~threshold ~fused ~ctx ~edge_fn =
   in
   fuse ()
 
-let run ~pool ~graph ?transpose ?handle ~schedule ~pq ~edge_fn
-    ?(stop = fun () -> false) ?deadline ?on_round ?trace () =
+let run ~pool ~handle ~schedule ~pq ~edge_fn ?(stop = fun () -> false)
+    ?deadline ?on_round () =
   (match Schedule.validate schedule with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Engine.run: " ^ msg));
-  let needs_transpose =
-    match schedule.Schedule.traversal with
-    | Schedule.Dense_pull | Schedule.Hybrid -> true
-    | Schedule.Sparse_push -> false
-  in
-  let transpose_graph =
-    match (needs_transpose, transpose, handle) with
-    | false, _, _ -> None
-    | true, Some tg, _ -> Some tg
-    (* A handle can always derive (and cache) the transpose itself. *)
-    | true, None, Some h -> Some (Graphs.Handle.transpose_csr h)
-    | true, None, None ->
-        invalid_arg "Engine.run: DensePull traversal requires ~transpose"
-  in
   (* The kernel applies Ligra's hybrid heuristic (with a parallel degree
-     sum); the engine only maps the schedule onto a kernel direction. *)
-  let direction =
+     sum); the engine only maps the schedule onto a kernel direction. Only
+     pull-capable directions force the handle's cached transpose. *)
+  let direction, transpose =
     match schedule.Schedule.traversal with
-    | Schedule.Sparse_push -> Edge_map.Push
-    | Schedule.Dense_pull -> Edge_map.Pull
-    | Schedule.Hybrid -> Edge_map.Hybrid
+    | Schedule.Sparse_push -> (Edge_map.Push, None)
+    | Schedule.Dense_pull -> (Edge_map.Pull, Some (Handle.transpose handle))
+    | Schedule.Hybrid -> (Edge_map.Hybrid, Some (Handle.transpose handle))
   in
+  (* Sweeps run on the handle's layout; the fused drain walks the plain
+     CSR the handle also carries — fusion touches single vertices, where
+     decode-in-register buys nothing. *)
+  let layout = Handle.graph handle in
+  let graph = Handle.csr handle in
   let workers = Pool.num_workers pool in
   (* Scratch is shared per (pool, graph, version): repeated runs over one
      snapshot — a bench loop, the checker, incremental repairs — skip the
      per-run allocation. Runs on one pool are serialized, so sharing is
      race-free; a new graph version is a new CSR and misses the cache. *)
-  let scratch =
-    let version = match handle with Some h -> Graphs.Handle.version h | None -> 0 in
-    Scratch.shared ~pool ~graph ~version
-  in
-  (* Layout dispatch happens here, once per run: a handle carrying a
-     non-plain layout routes sweeps through the kernel instance
-     specialized for it; everything else keeps the plain-CSR entry point.
-     The fused drain below always walks the plain CSR the handle also
-     carries — fusion touches single vertices, where decode-in-register
-     buys nothing. *)
-  let traverse ?filter ?epilogue ~chunk ~direction frontier ~f =
-    match handle with
-    | Some h when Graphs.Handle.kind h <> Graphs.Layout.Plain ->
-        let transpose =
-          if needs_transpose then Some (Graphs.Handle.transpose h) else None
-        in
-        Edge_map.run_layout scratch ~graph:(Graphs.Handle.graph h) ?transpose
-          ?sched:schedule.Schedule.sched ?filter ?epilogue ~chunk ~direction
-          frontier ~f
-    | _ ->
-        Edge_map.run scratch ~graph ?transpose:transpose_graph
-          ?sched:schedule.Schedule.sched ?filter ?epilogue ~chunk ~direction
-          frontier ~f
-  in
+  let scratch = Scratch.shared ~pool ~graph ~version:(Handle.version handle) in
   let fused = Array.make (workers * stride) 0 in
   let filter =
     if Pq.needs_processing_filter pq then Some (Pq.vertex_on_current_bucket pq)
@@ -128,10 +111,11 @@ let run ~pool ~graph ?transpose ?handle ~schedule ~pq ~edge_fn
   let sync_start = Pool.barrier_wait_seconds pool in
   let last_key = ref min_int in
   let continue = ref true in
-  (* Phase timestamps are taken only when a trace collects them; the span
-     guards below are a flag read each when the recorder is off. *)
-  let tracing = trace <> None in
-  let timestamp () = if tracing then Unix.gettimeofday () else 0.0 in
+  (* Phase timestamps and the per-round fused count are taken only when a
+     hook listens; the span guards below are a flag read each when the
+     recorder is off. *)
+  let hooked = on_round <> None in
+  let timestamp () = if hooked then Unix.gettimeofday () else 0.0 in
   let run_round () =
     let round_start = timestamp () in
     let round_sync_start = Pool.barrier_wait_seconds pool in
@@ -144,18 +128,14 @@ let run ~pool ~graph ?transpose ?handle ~schedule ~pq ~edge_fn
       stats.Stats.buckets_processed <- stats.Stats.buckets_processed + 1;
       last_key := Pq.current_key pq
     end;
-    let fused_before = counter_sum fused in
+    let fused_before = if hooked then counter_sum fused else 0 in
     let executed =
-      traverse ?filter ?epilogue ~chunk:schedule.Schedule.chunk_size
-        ~direction frontier ~f:edge_fn
+      Edge_map.run_layout scratch ~graph:layout ?transpose
+        ?sched:schedule.Schedule.sched ?filter ?epilogue
+        ~chunk:schedule.Schedule.chunk_size ~direction frontier ~f:edge_fn
     in
-    let direction =
-      match executed with
-      | Edge_map.Ran_pull ->
-          stats.Stats.pull_rounds <- stats.Stats.pull_rounds + 1;
-          Trace.Pull
-      | Edge_map.Ran_push -> Trace.Push
-    in
+    if executed = Edge_map.Ran_pull then
+      stats.Stats.pull_rounds <- stats.Stats.pull_rounds + 1;
     let traverse_done = timestamp () in
     let round_sync = Pool.barrier_wait_seconds pool -. round_sync_start in
     if Span.enabled () then Span.record "engine.sync_wait" round_sync;
@@ -167,40 +147,34 @@ let run ~pool ~graph ?transpose ?handle ~schedule ~pq ~edge_fn
           (Observe.Tracer.label "engine.sync_wait_us")
           (int_of_float (round_sync *. 1e6))
     | None -> ());
-    (match trace with
-    | Some t ->
-        Trace.record t
-          {
-            Trace.index = stats.Stats.rounds;
-            bucket_key = Pq.current_key pq;
-            priority = Pq.current_priority pq;
-            frontier_size = Vertex_subset.cardinal frontier;
-            direction;
-            fused_drains = counter_sum fused - fused_before;
-            wall_seconds = traverse_done -. round_start;
-            dequeue_seconds = dequeue_done -. round_start;
-            traverse_seconds = traverse_done -. dequeue_done;
-            sync_wait_seconds = round_sync;
-          }
-    | None -> ());
     stats.Stats.global_syncs <- stats.Stats.global_syncs + 1;
     if not (Schedule.is_eager schedule) then
       (* The lazy strategies pay an extra synchronization per round for the
          buffer reduction / bulk bucket update (Fig. 5, lines 12-13). *)
       stats.Stats.global_syncs <- stats.Stats.global_syncs + 1;
-    (* The live-stats hook shares the stop/deadline cadence: once per
-       global round, on the orchestrating worker, after the round's
-       barrier. The scratch/fused sums it needs are only folded in when
-       someone listens, so unhooked runs keep the hot path unchanged.
-       The service batcher uses this to attribute rounds and
-       relaxations to the batch members it resolves mid-run. *)
+    (* The round hook shares the stop/deadline cadence: once per global
+       round, on the orchestrating worker, after the round's barrier. The
+       scratch/fused sums it needs are only folded in when someone
+       listens, so unhooked runs keep the hot path unchanged. *)
     (match on_round with
     | None -> ()
     | Some f ->
         stats.Stats.vertices_processed <- Scratch.vertices_processed scratch;
         stats.Stats.edges_relaxed <- Scratch.edges_traversed scratch;
         stats.Stats.fused_drains <- counter_sum fused;
-        f stats);
+        f stats
+          {
+            index = stats.Stats.rounds;
+            bucket_key = Pq.current_key pq;
+            priority = Pq.current_priority pq;
+            frontier_size = Vertex_subset.cardinal frontier;
+            direction = executed;
+            fused_drains = stats.Stats.fused_drains - fused_before;
+            wall_seconds = traverse_done -. round_start;
+            dequeue_seconds = dequeue_done -. round_start;
+            traverse_seconds = traverse_done -. dequeue_done;
+            sync_wait_seconds = round_sync;
+          });
     if stats.Stats.rounds > 100_000_000 then continue := false
   in
   (* The deadline shares the [stop] seam's cadence: one check per global
@@ -252,9 +226,7 @@ let run ~pool ~graph ?transpose ?handle ~schedule ~pq ~edge_fn
    operators on the orchestrating thread before the first dequeue, so
    both eager bins and lazy buffers observe them exactly like a round's
    worth of updates. *)
-let run_incremental ~pool ~graph ?transpose ?handle ~schedule ~pq ~edge_fn ~seed
-    ?stop ?deadline ?on_round ?trace () =
-  let ctx = { Pq.tid = 0; use_atomics = true } in
-  seed ctx;
-  run ~pool ~graph ?transpose ?handle ~schedule ~pq ~edge_fn ?stop ?deadline
-    ?on_round ?trace ()
+let run_incremental ~pool ~handle ~schedule ~pq ~edge_fn ~seed ?stop ?deadline
+    ?on_round () =
+  seed { Pq.tid = 0; use_atomics = true };
+  run ~pool ~handle ~schedule ~pq ~edge_fn ?stop ?deadline ?on_round ()

@@ -19,28 +19,49 @@
     user function over out-edges of frontier members; [Dense_pull] scans
     in-edges of every vertex against a dense frontier, without atomics.
 
-    Every run returns {!Stats}; a supplied {!Trace} additionally records a
-    per-round wall-clock phase breakdown, and when the flight recorder is
-    enabled ([Observe.Span.set_enabled]) the engine's phases are recorded
-    as spans ([engine.dequeue], [engine.traverse.push]/[.pull],
-    [engine.sync_wait]) and its counters folded into [Observe.Metrics] —
-    see [docs/OBSERVABILITY.md]. *)
+    Every run returns {!Stats}; a supplied [on_round] hook additionally
+    sees each round's bucket, frontier, direction and wall-clock phase
+    breakdown ({!round}), and when the flight recorder is enabled
+    ([Observe.Span.set_enabled]) the engine's phases are recorded as spans
+    ([engine.dequeue], [engine.traverse.push]/[.pull], [engine.sync_wait])
+    and its counters folded into [Observe.Metrics] — see
+    [docs/OBSERVABILITY.md]. *)
 
 type edge_fn = Priority_queue.ctx -> src:int -> dst:int -> weight:int -> unit
 (** The compiled user-defined function ([updateEdge] in Fig. 3): it must
     perform its priority updates through the {!Priority_queue} operators
     using the supplied context. *)
 
-(** [run ~pool ~graph ~schedule ~pq ~edge_fn ()] executes to completion and
-    returns the execution counters.
+(** One global round, as the [on_round] hook sees it. Every field's
+    exported name is documented in [docs/OBSERVABILITY.md]. *)
+type round = {
+  index : int;  (** 1-based round number. *)
+  bucket_key : int;  (** Normalized coarsened key of the bucket. *)
+  priority : int;  (** Representative (user-facing) priority. *)
+  frontier_size : int;  (** Members extracted for this round. *)
+  direction : Traverse.Edge_map.executed;
+      (** Traversal direction the kernel ran. *)
+  fused_drains : int;  (** Fusion drains performed during this round. *)
+  wall_seconds : float;
+      (** Wall-clock of the whole round, dequeue through synchronization. *)
+  dequeue_seconds : float;
+      (** Time in [dequeue_ready_set] — for lazy schedules this includes
+          the bulk bucket update (buffer reduction / histogram flush). *)
+  traverse_seconds : float;
+      (** Time in the parallel edge-processing region, including any
+          fusion drains performed inside it. *)
+  sync_wait_seconds : float;
+      (** Worker 0's end-of-round barrier wait
+          ({!Parallel.Pool.barrier_wait_seconds} delta); [0.] on
+          single-worker pools. *)
+}
 
-    @param transpose required for [Dense_pull] and [Hybrid] traversal
-      unless [handle] is given (a handle derives and caches it).
-    @param handle routes traversal through the handle's storage layout:
-      a [Compressed]-kind handle runs the sweeps on the varint-compressed
-      form (the fused drain stays on the plain CSR the handle also
-      carries), and the handle's cached transpose replaces per-run
-      rebuilds.
+(** [run ~pool ~handle ~schedule ~pq ~edge_fn ()] executes to completion
+    and returns the execution counters. Sweeps run on the handle's
+    storage layout ({!Graphs.Handle.graph}); [Dense_pull] and [Hybrid]
+    schedules force the handle's cached transpose, push-only runs never
+    build one. The fused drain walks the plain CSR ({!Graphs.Handle.csr}).
+
     @param stop checked before each round ([pq.finished] custom conditions,
       e.g. PPSP's early exit once the destination is finalized).
     @param deadline checked at the same round boundaries as [stop]: once
@@ -49,28 +70,24 @@ type edge_fn = Priority_queue.ctx -> src:int -> dst:int -> weight:int -> unit
       {!Deadline}) — the query service's timeout seam.
     @param on_round called once per global round, after the round's
       barrier and at the same cadence as [stop], with the {e live}
-      stats record: [rounds], [vertices_processed], [edges_relaxed],
-      and [fused_drains] reflect work completed so far (the remaining
-      fields finalize at run end). The record passed is the one [run]
-      returns — treat it as read-only. Runs without the hook skip the
-      per-round counter folds entirely. The query service uses this to
-      attribute rounds and relaxations to individual batch members as
-      their replies resolve mid-run.
-    @param trace when supplied, one {!Trace.round} is recorded per global
-      round.
-    @raise Invalid_argument on an invalid schedule or missing transpose. *)
+      stats record and the round's {!round} record. In the stats,
+      [rounds], [vertices_processed], [edges_relaxed] and [fused_drains]
+      reflect work completed so far (the remaining fields finalize at run
+      end); it is the record [run] returns — treat it as read-only. Runs
+      without the hook read no clock and skip the per-round counter folds.
+      The query service uses it to attribute rounds and relaxations to
+      batch members as their replies resolve mid-run; [ordered_run
+      --rounds] prints one table row per call.
+    @raise Invalid_argument on an invalid schedule. *)
 val run :
   pool:Parallel.Pool.t ->
-  graph:Graphs.Csr.t ->
-  ?transpose:Graphs.Csr.t ->
-  ?handle:Graphs.Handle.t ->
+  handle:Graphs.Handle.t ->
   schedule:Schedule.t ->
   pq:Priority_queue.t ->
   edge_fn:edge_fn ->
   ?stop:(unit -> bool) ->
   ?deadline:Deadline.t ->
-  ?on_round:(Stats.t -> unit) ->
-  ?trace:Trace.t ->
+  ?on_round:(Stats.t -> round -> unit) ->
   unit ->
   Stats.t
 
@@ -88,16 +105,13 @@ val run :
     [Algorithms.Sssp_delta.run_incremental]. *)
 val run_incremental :
   pool:Parallel.Pool.t ->
-  graph:Graphs.Csr.t ->
-  ?transpose:Graphs.Csr.t ->
-  ?handle:Graphs.Handle.t ->
+  handle:Graphs.Handle.t ->
   schedule:Schedule.t ->
   pq:Priority_queue.t ->
   edge_fn:edge_fn ->
   seed:(Priority_queue.ctx -> unit) ->
   ?stop:(unit -> bool) ->
   ?deadline:Deadline.t ->
-  ?on_round:(Stats.t -> unit) ->
-  ?trace:Trace.t ->
+  ?on_round:(Stats.t -> round -> unit) ->
   unit ->
   Stats.t

@@ -92,19 +92,13 @@ let warm_one t =
   else begin
     Span.with_ "service.alt.warm" (fun () ->
         let l = next_landmark t in
-        let graph = Handle.csr t.handle in
-        let transpose = Handle.transpose_csr t.handle in
-        let fwd =
-          Algorithms.Sssp_delta.run ~pool:t.pool ~graph ~schedule:t.schedule
-            ~source:l ()
+        (* Backward distances are forward distances on the reversed
+           handle, which shares the snapshot's cached transpose. *)
+        let sssp handle =
+          Algorithms.Sssp_delta.run ~pool:t.pool ~graph:(Handle.csr handle)
+            ~handle ~schedule:t.schedule ~source:l ()
         in
-        let bwd =
-          (* The transpose of the transpose is the forward graph: passing
-             it keeps pull-direction schedules viable for the backward
-             run. *)
-          Algorithms.Sssp_delta.run ~pool:t.pool ~graph:transpose
-            ~transpose:graph ~schedule:t.schedule ~source:l ()
-        in
+        let fwd = sssp t.handle and bwd = sssp (Handle.reverse t.handle) in
         t.vertices.(t.warmed) <- l;
         t.fwd.(t.warmed) <- fwd.Algorithms.Sssp_delta.dist;
         t.bwd.(t.warmed) <- bwd.Algorithms.Sssp_delta.dist;
@@ -122,32 +116,30 @@ let warm_all t =
 
 (* After a mutation commit: repair every warm landmark's two vectors with
    the incremental engine instead of re-running 2k full SSSPs. The
-   forward vector repairs against [batch] on the forward graphs; the
-   backward vector repairs against the reversed batch on the two
-   transposes (kept in sync by construction). A landmark whose affected
-   set was empty on both sides kept its vectors bit-for-bit — it is
-   counted [kept], not [refreshed]. *)
+   forward vector repairs against [batch] on the forward handles; the
+   backward vector repairs against the reversed batch on the reversed
+   handles, whose graphs are the two cached transposes. A landmark whose
+   affected set was empty on both sides kept its vectors bit-for-bit — it
+   is counted [kept], not [refreshed]. *)
 let refresh t ~old_handle ~handle ~batch =
   t.handle <- handle;
   if t.warmed = 0 || Array.length batch = 0 then (0, 0)
   else
     Span.with_ "service.alt.refresh" (fun () ->
-        let old_graph = Handle.csr old_handle in
-        let graph = Handle.csr handle in
-        let old_transpose = Handle.transpose_csr old_handle in
-        let transpose = Handle.transpose_csr handle in
-        let rev = Graphs.Delta.reverse batch in
+        let repair ~old_handle ~handle ~batch ~source ~prev =
+          Algorithms.Sssp_delta.run_incremental ~pool:t.pool
+            ~old_graph:(Handle.csr old_handle) ~graph:(Handle.csr handle) ~handle
+            ~schedule:t.schedule ~source ~batch ~prev ()
+        in
+        let old_rev = Handle.reverse old_handle and rev = Handle.reverse handle in
+        let rev_batch = Graphs.Delta.reverse batch in
         let refreshed = ref 0 and kept = ref 0 in
         for i = 0 to t.warmed - 1 do
           let l = t.vertices.(i) in
-          let fwd =
-            Algorithms.Sssp_delta.run_incremental ~pool:t.pool ~old_graph ~graph
-              ~handle ~schedule:t.schedule ~source:l ~batch ~prev:t.fwd.(i) ()
-          in
+          let fwd = repair ~old_handle ~handle ~batch ~source:l ~prev:t.fwd.(i) in
           let bwd =
-            Algorithms.Sssp_delta.run_incremental ~pool:t.pool
-              ~old_graph:old_transpose ~graph:transpose ~transpose:graph
-              ~schedule:t.schedule ~source:l ~batch:rev ~prev:t.bwd.(i) ()
+            repair ~old_handle:old_rev ~handle:rev ~batch:rev_batch ~source:l
+              ~prev:t.bwd.(i)
           in
           t.fwd.(i) <- fwd.Algorithms.Sssp_delta.result.Algorithms.Sssp_delta.dist;
           t.bwd.(i) <- bwd.Algorithms.Sssp_delta.result.Algorithms.Sssp_delta.dist;

@@ -56,7 +56,8 @@ val warm_all : t -> int
     new snapshot [handle] (= [old_handle] after [batch]) and repairs
     every warm landmark's forward/backward vectors with
     {!Algorithms.Sssp_delta.run_incremental} — the backward side runs
-    the reversed batch on the two transposes. Returns
+    the reversed batch on the reversed handles
+    ({!Graphs.Handle.reverse}), so no transpose is rebuilt. Returns
     [(refreshed, kept)]: landmarks whose vectors changed vs. landmarks
     the affected-set plan proved untouched. Emits the
     [service.alt.refresh] span and the [dynamic.alt.refreshed]/

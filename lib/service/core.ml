@@ -519,8 +519,7 @@ let run_deadline members =
    [finished_vertex] holds for its target, partial the moment its own
    deadline expires. [value_of] reads the member's current answer,
    [done_ tgt] decides finalization. *)
-let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn
-    ~graph =
+let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn =
   let width = List.length members in
   let version = Handle.version snapshot in
   let batch_trace = next_trace t in
@@ -536,7 +535,7 @@ let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn
      resolved there is attributed exactly the rounds and relaxations the
      engine had completed when its reply left. *)
   let live_rounds = ref 0 and live_edges = ref 0 in
-  let on_round (s : Ordered.Stats.t) =
+  let on_round (s : Ordered.Stats.t) _ =
     live_rounds := s.Ordered.Stats.rounds;
     live_edges := s.Ordered.Stats.edges_relaxed
   in
@@ -592,7 +591,7 @@ let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn
   in
   let run () =
     ignore
-      (Engine.run ~pool:t.pool ~graph ~handle:snapshot
+      (Engine.run ~pool:t.pool ~handle:snapshot
          ~schedule:t.config.Config.schedule ~pq ~edge_fn ~stop ~on_round
          ?deadline:(run_deadline members) ())
   in
@@ -609,9 +608,7 @@ let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn
 
 let run_sssp_group t ~source members =
   with_snapshot t (fun snapshot ->
-      let graph = Handle.csr snapshot in
-      let n = Csr.num_vertices graph in
-      let dist = Atomic_array.make n null in
+      let dist = Atomic_array.make (Handle.num_vertices snapshot) null in
       Atomic_array.set dist source 0;
       let pq =
         Pq.create ~schedule:t.config.Config.schedule
@@ -623,7 +620,7 @@ let run_sssp_group t ~source members =
         let new_dist = Atomic_array.get dist src + weight in
         Pq.update_priority_min pq ctx dst new_dist
       in
-      run_point_group t members ~snapshot ~pq ~graph ~edge_fn
+      run_point_group t members ~snapshot ~pq ~edge_fn
         ~dist_ready:(fun tgt ->
           Atomic_array.get dist tgt <> null && Pq.finished_vertex pq tgt)
         ~value_json:(fun tgt ->
@@ -645,7 +642,7 @@ let run_widest_group t ~source members =
         let through = min (Atomic_array.get capacity src) weight in
         Pq.update_priority_max pq ctx dst through
       in
-      run_point_group t members ~snapshot ~pq ~graph ~edge_fn
+      run_point_group t members ~snapshot ~pq ~edge_fn
         ~dist_ready:(fun tgt ->
           Atomic_array.get capacity tgt > 0 && Pq.finished_vertex pq tgt)
         ~value_json:(fun tgt ->

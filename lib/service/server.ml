@@ -48,6 +48,27 @@ let bind_listener = function
       in
       (fd, Tcp (host, bound_port))
 
+(* Longest request line the server reads. A longer one gets one error
+   reply and its connection is closed, so a client that never sends a
+   newline cannot grow the reader's buffer without bound. *)
+let max_line_bytes = 1 lsl 20
+
+(* [input_line] with the [max_line_bytes] bound: [None] at end of input,
+   [Some (Error ())] once a line outgrows the bound. *)
+let read_line ic buf =
+  Buffer.clear buf;
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Some (Ok (Buffer.contents buf))
+    | _ when Buffer.length buf >= max_line_bytes -> Some (Error ())
+    | c ->
+        Buffer.add_char buf c;
+        go ()
+    | exception End_of_file ->
+        if Buffer.length buf = 0 then None else Some (Ok (Buffer.contents buf))
+  in
+  go ()
+
 (* One reader thread per connection: parse a line, submit, move on.
    Replies go through [send], serialized by the connection's write lock
    because the runner thread answers engine queries while this thread
@@ -73,13 +94,18 @@ let serve_connection t fd =
           with Unix.Unix_error _ | Sys_error _ -> alive := false)
   in
   let ic = Unix.in_channel_of_descr fd in
+  let buf = Buffer.create 256 in
   (try
      while !alive && not (Atomic.get t.stopping) do
-       match input_line ic with
-       | exception End_of_file -> alive := false
-       | exception Sys_error _ -> alive := false
-       | "" -> ()
-       | line -> (
+       match read_line ic buf with
+       | None | (exception Sys_error _) -> alive := false
+       | Some (Error ()) ->
+           send
+             (Protocol.error ~id:(-1)
+                (Printf.sprintf "request line longer than %d bytes" max_line_bytes));
+           alive := false
+       | Some (Ok "") -> ()
+       | Some (Ok line) -> (
            match Protocol.parse_request line with
            | Error (id, msg) -> send (Protocol.error ~id msg)
            | Ok req -> Core.submit t.core req ~reply:send)

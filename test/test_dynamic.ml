@@ -128,7 +128,7 @@ let test_snapshot_isolation_mid_flight () =
       in
       let pinned = Versioned.pin v in
       let committed = ref false in
-      let on_round (_ : Ordered.Stats.t) =
+      let on_round _ _ =
         if not !committed then begin
           committed := true;
           ignore
@@ -152,8 +152,8 @@ let test_snapshot_isolation_mid_flight () =
         Ordered.Priority_queue.update_priority_min pq ctx dst nd
       in
       ignore
-        (Ordered.Engine.run ~pool ~graph:(Handle.csr pinned) ~handle:pinned
-           ~schedule ~pq ~edge_fn ~on_round ());
+        (Ordered.Engine.run ~pool ~handle:pinned ~schedule ~pq ~edge_fn
+           ~on_round ());
       dist_equal "pinned run unaffected by mid-flight commit" control
         (Parallel.Atomic_array.to_array dist);
       Alcotest.(check bool) "commit did land" true !committed;

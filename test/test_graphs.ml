@@ -360,6 +360,33 @@ let test_graph_bin_rejects_truncation () =
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "expected load to fail on a truncated file")
 
+(* A crafted file whose lengths all agree but whose structure is broken
+   must fail with the loader's own error (message prefixed by the path),
+   not load and then read out of bounds. One flipped word per case. *)
+let test_graph_bin_rejects_corrupt_structure () =
+  let g = random_graph 79 ~n:40 ~m:200 in
+  let n = Csr.num_vertices g in
+  let expect_rejected ?(layout = Layout.Plain) what ~at value =
+    with_temp_bin (fun path ->
+        Graph_bin.save path ~layout g;
+        let b = In_channel.with_open_bin path In_channel.input_all |> Bytes.of_string in
+        Bytes.set_int64_le b at value;
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+        match Graph_bin.load path with
+        | exception Failure msg when String.starts_with ~prefix:path msg -> ()
+        | exception e -> Alcotest.failf "%s: crashed with %s" what (Printexc.to_string e)
+        | _ -> Alcotest.failf "%s: loaded a corrupt file" what)
+  in
+  let word i = 64 + (8 * i) in
+  expect_rejected "offset out of order" ~at:(word 10) 10_000L;
+  expect_rejected "target out of range" ~at:(word (n + 1)) (Int64.of_int n);
+  expect_rejected "vertex count overflows the payload size" ~at:32
+    (Int64.shift_left 1L 60);
+  (* Compressed: degrees[0] no longer sums to m; starts[1] past the data. *)
+  expect_rejected ~layout:Layout.Compressed "degree sum" ~at:(word 0) 7L;
+  expect_rejected ~layout:Layout.Compressed "starts out of order" ~at:(word (n + 1))
+    100_000L
+
 let () =
   Alcotest.run "graphs"
     [
@@ -410,5 +437,7 @@ let () =
             test_graph_bin_rejects_garbage;
           Alcotest.test_case "rejects truncation" `Quick
             test_graph_bin_rejects_truncation;
+          Alcotest.test_case "rejects corrupt structure" `Quick
+            test_graph_bin_rejects_corrupt_structure;
         ] );
     ]

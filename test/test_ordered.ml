@@ -79,16 +79,51 @@ let test_schedule_string_rejects_invalid () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad integer must not parse"
 
-let test_engine_requires_transpose_for_pull () =
+(* A handle around another CSR than ~graph is refused, not silently mixed
+   in: the algorithm would read degrees from one graph and traverse the
+   other. A structurally equal copy is still another CSR. *)
+let test_mismatched_handle_rejected () =
   let g = random_weighted_graph 1 ~n:20 ~m:60 ~max_w:5 in
+  let other = Graphs.Handle.create (Csr.of_edge_list (Csr.to_edge_list g)) in
   Pool.with_pool ~num_workers:1 (fun pool ->
-      Alcotest.check_raises "missing transpose"
-        (Invalid_argument "Engine.run: DensePull traversal requires ~transpose")
+      Alcotest.check_raises "handle of another graph"
+        (Invalid_argument "Handle.resolve: ~handle does not wrap ~graph")
         (fun () ->
           ignore
-            (Algorithms.Sssp_delta.run ~pool ~graph:g
-               ~schedule:(schedule ~strategy:Schedule.Lazy ~traversal:Schedule.Dense_pull ())
-               ~source:0 ())))
+            (Algorithms.Sssp_delta.run ~pool ~graph:g ~handle:other
+               ~schedule:(schedule ()) ~source:0 ())))
+
+(* The reversed handle shares the original's cached transposes in both
+   layouts, and a backward run over it is a forward run on the transpose. *)
+let test_reverse_handle () =
+  let g = random_weighted_graph 12 ~n:80 ~m:2400 ~max_w:10 in
+  let h = Graphs.Handle.create g in
+  let r = Graphs.Handle.reverse h in
+  let module H = Graphs.Handle in
+  Alcotest.(check bool) "reverse csr is the cached transpose" true
+    (H.csr r == H.transpose_csr h);
+  Alcotest.(check bool) "transpose of reverse is the csr" true
+    (H.transpose_csr r == g);
+  let compressed_transpose h =
+    match H.transpose (H.with_kind Graphs.Layout.Compressed h) with
+    | Graphs.Layout.Compressed_graph c -> c
+    | Graphs.Layout.Plain_graph _ -> Alcotest.fail "compressed kind"
+  in
+  Alcotest.(check bool) "compressed reverse is the compressed transpose" true
+    (H.compressed r == compressed_transpose h);
+  Alcotest.(check bool) "compressed transpose of reverse is the compressed csr"
+    true
+    (compressed_transpose r == H.compressed h);
+  let expected = Algorithms.Dijkstra.distances (H.transpose_csr h) ~source:0 in
+  Pool.with_pool ~num_workers:2 (fun pool ->
+      let { Algorithms.Sssp_delta.dist; stats } =
+        Algorithms.Sssp_delta.run ~pool ~graph:(H.csr r) ~handle:r
+          ~schedule:(schedule ~strategy:Schedule.Lazy ~traversal:Schedule.Hybrid ~delta:8 ())
+          ~source:0 ()
+      in
+      Alcotest.(check (array int)) "backward hybrid = Dijkstra on transpose" expected
+        dist;
+      Alcotest.(check bool) "some rounds pulled" true (stats.Ordered.Stats.pull_rounds > 0))
 
 (* ---------------- SSSP ---------------- *)
 
@@ -144,11 +179,10 @@ let test_sssp_all_strategies_all_workers () =
 
 let test_sssp_dense_pull () =
   let g = random_weighted_graph 8 ~n:100 ~m:800 ~max_w:10 in
-  let t = Csr.transpose g in
   let expected = Algorithms.Dijkstra.distances g ~source:0 in
   Pool.with_pool ~num_workers:2 (fun pool ->
       let { Algorithms.Sssp_delta.dist; _ } =
-        Algorithms.Sssp_delta.run ~pool ~graph:g ~transpose:t
+        Algorithms.Sssp_delta.run ~pool ~graph:g
           ~schedule:(schedule ~strategy:Schedule.Lazy ~traversal:Schedule.Dense_pull ~delta:4 ())
           ~source:0 ()
       in
@@ -157,11 +191,10 @@ let test_sssp_dense_pull () =
 let test_sssp_hybrid_direction () =
   (* Hybrid traversal: dense-ish graph so some rounds pull, some push. *)
   let g = random_weighted_graph 9 ~n:80 ~m:2400 ~max_w:10 in
-  let t = Csr.transpose g in
   let expected = Algorithms.Dijkstra.distances g ~source:0 in
   Pool.with_pool ~num_workers:2 (fun pool ->
       let { Algorithms.Sssp_delta.dist; stats } =
-        Algorithms.Sssp_delta.run ~pool ~graph:g ~transpose:t
+        Algorithms.Sssp_delta.run ~pool ~graph:g
           ~schedule:
             (schedule ~strategy:Schedule.Lazy ~traversal:Schedule.Hybrid ~delta:8 ())
           ~source:0 ()
@@ -259,27 +292,31 @@ let test_fusion_threshold_respected () =
       in
       Alcotest.(check bool) "still correct" true (r.dist.(499) = 499))
 
-let test_trace_records_rounds () =
+let test_round_hook_sees_every_round () =
   let g = random_weighted_graph 10 ~n:120 ~m:700 ~max_w:20 in
   Pool.with_pool ~num_workers:2 (fun pool ->
-      let trace = Ordered.Trace.create () in
+      let seen = ref [] in
+      let on_round (live : Ordered.Stats.t) (r : Ordered.Engine.round) =
+        Alcotest.(check int) "live rounds = round index" live.rounds r.index;
+        seen := r :: !seen
+      in
       let { Algorithms.Sssp_delta.stats; _ } =
         Algorithms.Sssp_delta.run ~pool ~graph:g ~schedule:(schedule ~delta:8 ())
-          ~source:0 ~trace ()
+          ~source:0 ~on_round ()
       in
-      Alcotest.(check int) "one entry per round" stats.Ordered.Stats.rounds
-        (Ordered.Trace.length trace);
-      let rounds = Ordered.Trace.rounds trace in
-      let keys = List.map (fun r -> r.Ordered.Trace.bucket_key) rounds in
+      let rounds = List.rev !seen in
+      Alcotest.(check int) "one call per round" stats.Ordered.Stats.rounds
+        (List.length rounds);
+      let keys = List.map (fun (r : Ordered.Engine.round) -> r.bucket_key) rounds in
       Alcotest.(check bool) "bucket keys nondecreasing" true
         (List.sort compare keys = keys);
       Alcotest.(check bool) "frontiers non-empty" true
-        (List.for_all (fun r -> r.Ordered.Trace.frontier_size > 0) rounds);
-      Alcotest.(check int) "fused drains consistent" stats.Ordered.Stats.fused_drains
-        (List.fold_left (fun acc r -> acc + r.Ordered.Trace.fused_drains) 0 rounds);
-      (* The table printer elides long traces without crashing. *)
-      let rendered = Format.asprintf "%a" (Ordered.Trace.pp ~max_rounds:4) trace in
-      Alcotest.(check bool) "printer emits rows" true (String.length rendered > 0))
+        (List.for_all (fun (r : Ordered.Engine.round) -> r.frontier_size > 0) rounds);
+      Alcotest.(check bool) "fusion drained some bins" true (stats.fused_drains > 0);
+      Alcotest.(check int) "fused drains sum to the total" stats.Ordered.Stats.fused_drains
+        (List.fold_left
+           (fun acc (r : Ordered.Engine.round) -> acc + r.fused_drains)
+           0 rounds))
 
 let test_stats_sanity () =
   let g = random_weighted_graph 3 ~n:100 ~m:500 ~max_w:10 in
@@ -721,8 +758,9 @@ let () =
           Alcotest.test_case "string round-trip" `Quick test_schedule_string_roundtrip;
           Alcotest.test_case "string rejects invalid" `Quick
             test_schedule_string_rejects_invalid;
-          Alcotest.test_case "pull requires transpose" `Quick
-            test_engine_requires_transpose_for_pull;
+          Alcotest.test_case "mismatched handle rejected" `Quick
+            test_mismatched_handle_rejected;
+          Alcotest.test_case "reversed handle" `Quick test_reverse_handle;
         ] );
       ( "sssp",
         [
@@ -741,7 +779,8 @@ let () =
           Alcotest.test_case "threshold respected" `Quick
             test_fusion_threshold_respected;
           Alcotest.test_case "stats sanity" `Quick test_stats_sanity;
-          Alcotest.test_case "trace records rounds" `Quick test_trace_records_rounds;
+          Alcotest.test_case "round hook sees every round" `Quick
+            test_round_hook_sees_every_round;
         ] );
       ( "variants",
         [

@@ -448,6 +448,38 @@ let run_client path queries =
   Unix.close fd;
   replies
 
+(* A 2 MiB line with no newline: the reader stops at its bound, replies
+   one typed error and drops only that connection; the next client is
+   served normally. *)
+let test_oversize_line_rejected () =
+  let csr = Testlib.random_weighted_graph 30 ~n:50 ~m:200 ~max_w:9 in
+  Pool.with_pool ~num_workers:1 (fun pool ->
+      let path = tmp_socket_path () in
+      let server =
+        Service.Server.start ~core:(mk_core ~pool csr)
+          ~address:(Service.Server.Unix_sock path) ()
+      in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.;
+      let chunk = Bytes.make 65536 'x' in
+      (* The server closes after its bound, so late writes may fail. *)
+      (try
+         for _ = 1 to 32 do
+           ignore (Unix.write fd chunk 0 (Bytes.length chunk))
+         done
+       with Unix.Unix_error _ -> ());
+      let line = input_line (Unix.in_channel_of_descr fd) in
+      (match Result.bind (Json.of_string line) Protocol.response_of_json with
+      | Ok resp -> check_status "oversize line" Protocol.Error resp
+      | Error msg -> Alcotest.failf "bad response %S: %s" line msg);
+      Unix.close fd;
+      let replies = run_client path [ req 1 Protocol.Ping ] in
+      check_status "next client served" Protocol.Ok (Hashtbl.find replies 1);
+      let replies = run_client path [ req 2 Protocol.Shutdown ] in
+      check_status "shutdown" Protocol.Ok (Hashtbl.find replies 2);
+      Service.Server.wait server)
+
 let test_concurrent_clients () =
   let csr = Testlib.random_weighted_graph 29 ~n:400 ~m:2400 ~max_w:64 in
   let dist = Array.init 8 (fun s -> Check.Oracle.bellman_ford csr ~source:s) in
@@ -966,6 +998,8 @@ let () =
         [
           Alcotest.test_case "4 concurrent clients, zero wrong answers" `Slow
             test_concurrent_clients;
+          Alcotest.test_case "oversize line gets an error reply" `Quick
+            test_oversize_line_rejected;
         ] );
       ( "docs",
         [

@@ -129,7 +129,7 @@ let qcheck_kernel_layout_equivalence =
         [ 1; 3 ])
 
 (* The engine's handle path: a compressed-kind handle (with its cached
-   transpose, no explicit ~transpose argument) matches the plain run. *)
+   compressed transpose) matches the plain run. *)
 let qcheck_engine_compressed_handle =
   QCheck.Test.make ~name:"engine on a compressed handle stays exact" ~count:20
     QCheck.(triple (int_range 2 50) (int_bound 250) (int_range 1 8))
@@ -162,7 +162,7 @@ let qcheck_engine_direction_equivalence =
     QCheck.(triple (int_range 2 50) (int_bound 250) (int_range 1 8))
     (fun (n, m, delta) ->
       let g = random_weighted_graph (n + (m * 13) + delta) ~n ~m ~max_w:9 in
-      let t = Csr.transpose g in
+      let handle = Graphs.Handle.create g in
       let expected = Algorithms.Dijkstra.distances g ~source:0 in
       List.for_all
         (fun workers ->
@@ -173,8 +173,8 @@ let qcheck_engine_direction_equivalence =
                     { Schedule.default with strategy = Schedule.Lazy; traversal; delta }
                   in
                   let r =
-                    Algorithms.Sssp_delta.run ~pool ~graph:g ~transpose:t
-                      ~schedule ~source:0 ()
+                    Algorithms.Sssp_delta.run ~pool ~graph:g ~handle ~schedule
+                      ~source:0 ()
                   in
                   r.Algorithms.Sssp_delta.dist = expected)
                 [ Schedule.Sparse_push; Schedule.Dense_pull; Schedule.Hybrid ]))
