@@ -3,13 +3,6 @@
 
 open Cmdliner
 
-(* A graph argument may be an edge-list text file or a GRAPHBIN binary
-   (sniffed by magic, so `.bin` files work regardless of extension). *)
-let load_edge_list path =
-  if Graphs.Graph_bin.is_graph_bin path then
-    Graphs.Csr.to_edge_list (Graphs.Graph_bin.load_csr path)
-  else Graphs.Graph_io.load path
-
 let make_schedule strategy delta threshold buckets traversal =
   let ( let* ) = Result.bind in
   let* strategy = Ordered.Schedule.strategy_of_string strategy in
@@ -83,7 +76,13 @@ let run algorithm graph_path source target workers strategy delta threshold buck
      layout. Vertex ids given on the command line are remapped through
      the permutation so the query answers the same question. *)
   let prepare symmetric =
-    let el = load_edge_list graph_path in
+    let el =
+      match Graphs.Graph_io.load_any graph_path with
+      | Ok el -> el
+      | Error msg ->
+          Printf.eprintf "cannot load graph: %s\n" msg;
+          exit 1
+    in
     let el = if symmetric then Graphs.Edge_list.symmetrized el else el in
     let coords = Option.map Graphs.Graph_io.read_coords coords_path in
     let csr = Graphs.Csr.of_edge_list el in

@@ -6,11 +6,6 @@
 
 open Cmdliner
 
-let load_edge_list path =
-  if Graphs.Graph_bin.is_graph_bin path then
-    Graphs.Csr.to_edge_list (Graphs.Graph_bin.load_csr path)
-  else Graphs.Graph_io.load path
-
 let make_schedule strategy delta threshold buckets =
   let ( let* ) = Result.bind in
   let* strategy = Ordered.Schedule.strategy_of_string strategy in
@@ -48,7 +43,13 @@ let serve graph_path socket_path port host workers landmarks queue_capacity
       Printf.eprintf "invalid log level %S\n" log_level;
       exit 1);
   Option.iter Observe.Log.open_file log_path;
-  let el = load_edge_list graph_path in
+  let el =
+    match Graphs.Graph_io.load_any graph_path with
+    | Ok el -> el
+    | Error msg ->
+        Printf.eprintf "cannot load graph: %s\n" msg;
+        exit 1
+  in
   let el = if symmetric then Graphs.Edge_list.symmetrized el else el in
   let handle = Graphs.Handle.of_edge_list el in
   let coords = Option.map Graphs.Graph_io.read_coords coords_path in

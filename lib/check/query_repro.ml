@@ -143,21 +143,8 @@ let of_line line =
 (* ------------------------------------------------------------------ *)
 (* Replay *)
 
-let load_edge_list path =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "graph file not found: %s" path)
-  else
-    try
-      Ok
-        (if Graphs.Graph_bin.is_graph_bin path then
-           Csr.to_edge_list (Graphs.Graph_bin.load_csr path)
-         else Graphs.Graph_io.load path)
-    with
-    | Sys_error msg | Failure msg -> Error msg
-    | Invalid_argument msg -> Error msg
-
 let run ?(oracle = Oracle.default) r =
-  let* el = load_edge_list r.graph_file in
+  let* el = Graphs.Graph_io.load_any r.graph_file in
   let el = if r.symmetric then Edge_list.symmetrized el else el in
   (* The peel needs the undirected closure whatever the server loaded;
      the service builds the same view internally. *)

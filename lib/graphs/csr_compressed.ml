@@ -102,32 +102,72 @@ let read_varint_within data pos stop =
   in
   go 0 0
 
-let validate g =
-  let exception Bad of string in
+exception Corrupt of string
+
+let bad msg = raise (Corrupt msg)
+
+(* The checks every walk over untrusted streams relies on: degrees that
+   sum to [m], and [starts] monotone within the data, so each vertex's
+   byte range [starts.(u), starts.(u + 1)) is a real slice of [data]. *)
+let check_frame g =
   let n = g.n in
-  try
-    let sum = ref 0 in
-    Array.iter
-      (fun d ->
-        sum := !sum + d;
-        if d < 0 || !sum > g.m then raise (Bad "degrees exceed the edge count"))
-      g.degrees;
-    if !sum <> g.m then raise (Bad "degrees do not sum to the edge count");
-    if g.starts.(0) < 0 || g.starts.(n) > Bytes.length g.data then
-      raise (Bad "starts lie outside the data");
-    for u = 0 to n - 1 do
-      let pos = ref g.starts.(u) and stop = g.starts.(u + 1) in
-      if stop < !pos then raise (Bad "starts are not monotone");
-      let dst = ref u in
-      for k = 1 to g.degrees.(u) do
-        let gap = read_varint_within g.data pos stop in
-        dst := if k = 1 then u + unzigzag gap else !dst + gap;
-        if gap < 0 || !dst < 0 || !dst >= n || read_varint_within g.data pos stop < 0
-        then raise (Bad (Printf.sprintf "vertex %d: edge stream is corrupt" u))
-      done
-    done;
-    Ok ()
-  with Bad msg -> Error msg
+  let sum = ref 0 in
+  Array.iter
+    (fun d ->
+      sum := !sum + d;
+      if d < 0 || !sum > g.m then bad "degrees exceed the edge count")
+    g.degrees;
+  if !sum <> g.m then bad "degrees do not sum to the edge count";
+  if g.starts.(0) < 0 || g.starts.(n) > Bytes.length g.data then
+    bad "starts lie outside the data";
+  for u = 0 to n - 1 do
+    if g.starts.(u + 1) < g.starts.(u) then bad "starts are not monotone"
+  done
+
+let corrupt u = bad (Printf.sprintf "vertex %d: edge stream is corrupt" u)
+
+(* Decodes every stream with bounds checks, handing each edge to
+   [f u dst weight]; raises [Corrupt] on a malformed frame or stream. *)
+let iter_checked g f =
+  check_frame g;
+  for u = 0 to g.n - 1 do
+    let pos = ref g.starts.(u) and stop = g.starts.(u + 1) in
+    let dst = ref u in
+    for k = 1 to g.degrees.(u) do
+      let gap = read_varint_within g.data pos stop in
+      let weight = read_varint_within g.data pos stop in
+      if gap < 0 || weight < 0 then corrupt u;
+      dst := if k = 1 then u + unzigzag gap else !dst + gap;
+      f u !dst weight
+    done
+  done
+
+let validate g =
+  match
+    iter_checked g (fun u dst _ -> if dst < 0 || dst >= g.n then corrupt u)
+  with
+  | () -> Ok ()
+  | exception Corrupt msg -> Error msg
+
+let to_csr_checked g =
+  let targets = Array.make g.m 0 and weights = Array.make g.m 0 in
+  let k = ref 0 in
+  match
+    iter_checked g (fun _ dst weight ->
+        targets.(!k) <- dst;
+        weights.(!k) <- weight;
+        incr k)
+  with
+  | exception Corrupt msg -> Error msg
+  | () ->
+      let offsets = Array.make (g.n + 1) 0 in
+      for u = 0 to g.n - 1 do
+        offsets.(u + 1) <- offsets.(u) + g.degrees.(u)
+      done;
+      let csr =
+        Csr.unsafe_of_arrays ~num_vertices:g.n ~offsets ~targets ~weights
+      in
+      Result.map (fun () -> csr) (Csr.validate csr)
 
 (* ---- accessors ---- *)
 

@@ -51,6 +51,13 @@ val data : t -> Bytes.t
     inside its own byte range to targets in [[0, n)]. *)
 val validate : t -> (unit, string) result
 
+(** [to_csr_checked g] is [to_csr g] for a graph from {!unsafe_of_parts}
+    that {!validate} has not checked: it decodes every stream once with
+    bounds checks, then runs {!Csr.validate} on the plain arrays. The
+    binary loader's [load_csr] uses it, so a compressed file is decoded
+    once instead of once to check and once to convert. *)
+val to_csr_checked : t -> (Csr.t, string) result
+
 (** [unsafe_of_parts] adopts previously serialized parts; only lengths and
     the final byte offset are validated. *)
 val unsafe_of_parts :

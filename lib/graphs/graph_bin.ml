@@ -109,11 +109,9 @@ let copy_ints (map : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Arr
       let v = Bigarray.Array1.unsafe_get map (off + i) in
       Int64.to_int (if swap then swap64 v else v))
 
-let validate = function
-  | Layout.Plain_graph g -> Csr.validate g
-  | Layout.Compressed_graph g -> Csr_compressed.validate g
-
-let load path =
+(* Maps and copies the payload after the header checks; the structural
+   check is left to the caller, which knows what it decodes next. *)
+let load_unchecked path =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
@@ -150,9 +148,6 @@ let load path =
           (Unix.map_file fd ~pos:(Int64.of_int header_bytes) Bigarray.int64
              Bigarray.c_layout false [| words |])
       in
-      let checked g =
-        match validate g with Ok () -> g | Error msg -> invalid path msg
-      in
       match layout with
       | 0 ->
           let words = n + 1 + (2 * m) in
@@ -161,9 +156,8 @@ let load path =
           let offsets = copy_ints map ~off:0 ~len:(n + 1) in
           let targets = copy_ints map ~off:(n + 1) ~len:m in
           let weights = copy_ints map ~off:(n + 1 + m) ~len:m in
-          checked
-            (Layout.Plain_graph
-               (Csr.unsafe_of_arrays ~num_vertices:n ~offsets ~targets ~weights))
+          Layout.Plain_graph
+            (Csr.unsafe_of_arrays ~num_vertices:n ~offsets ~targets ~weights)
       | 1 ->
           let words = n + (n + 1) in
           need_payload words aux;
@@ -182,13 +176,30 @@ let load path =
               Bytes.unsafe_set data i (Bigarray.Array1.unsafe_get bytes_map i)
             done
           end;
-          checked
-            (Layout.Compressed_graph
-               (Csr_compressed.unsafe_of_parts ~num_vertices:n ~num_edges:m
-                  ~degrees ~starts ~data))
+          Layout.Compressed_graph
+            (Csr_compressed.unsafe_of_parts ~num_vertices:n ~num_edges:m
+               ~degrees ~starts ~data)
       | l -> invalid path (Printf.sprintf "unknown layout code %d" l))
 
-let load_csr path = Layout.to_csr (load path)
+let checked path = function Ok g -> g | Error msg -> invalid path msg
+
+let load path =
+  let g = load_unchecked path in
+  checked path
+    (Result.map
+       (fun () -> g)
+       (match g with
+       | Layout.Plain_graph c -> Csr.validate c
+       | Layout.Compressed_graph c -> Csr_compressed.validate c))
+
+(* A compressed file is decoded once, with bounds checks, straight into
+   the plain arrays that are then checked: validating the streams first
+   and converting afterwards would decode every stream twice. *)
+let load_csr path =
+  checked path
+    (match load_unchecked path with
+    | Layout.Plain_graph g -> Result.map (fun () -> g) (Csr.validate g)
+    | Layout.Compressed_graph g -> Csr_compressed.to_csr_checked g)
 
 let is_graph_bin path =
   match open_in_bin path with

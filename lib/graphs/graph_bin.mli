@@ -7,23 +7,23 @@
     the vertex/edge counts; see the spec in docs/INTERNALS.md. Loaders
     reject unknown versions, bad magic, foreign endianness, header counts
     beyond the file size, truncated payloads, and payloads that fail
-    {!validate} with a descriptive [Failure]. *)
+    the structural check (see {!load}) with a descriptive [Failure]. *)
 
 (** [save path ?layout csr] writes [csr] in the given on-disk layout
     (default [Plain]; [Compressed] encodes the varint form first). *)
 val save : string -> ?layout:Layout.kind -> Csr.t -> unit
 
-(** [validate g] is the O(n + m) structural check {!load} applies before
-    returning ({!Csr.validate} or {!Csr_compressed.validate}): the kernels
-    read the loaded arrays unchecked, so a crafted file must not get past
-    it. *)
-val validate : Layout.t -> (unit, string) result
-
 (** [load path] maps the file and returns the graph in its on-disk
-    layout. Raises [Failure] on malformed input. *)
+    layout, after the O(n + m) structural check of that layout
+    ({!Csr.validate} or {!Csr_compressed.validate}): the kernels read the
+    loaded arrays unchecked, so a crafted file must not get past it.
+    Raises [Failure] on malformed input. *)
 val load : string -> Layout.t
 
-(** [load path |> Layout.to_csr], for consumers that need the plain CSR. *)
+(** [load path |> Layout.to_csr], for consumers that need the plain CSR.
+    A compressed file is decoded once ({!Csr_compressed.to_csr_checked})
+    and checked as a plain CSR, instead of checked compressed and then
+    decoded again. Raises [Failure] on malformed input, as {!load}. *)
 val load_csr : string -> Csr.t
 
 (** [is_graph_bin path] sniffs the 8-byte magic; false for unreadable or

@@ -129,3 +129,14 @@ let read_coords path =
 
 let load path =
   if Filename.check_suffix path ".gr" then read_dimacs path else read_edge_list path
+
+let load_any path =
+  if not (Sys.file_exists path) then
+    Error (Printf.sprintf "graph file not found: %s" path)
+  else
+    try
+      Ok
+        (if Graph_bin.is_graph_bin path then
+           Csr.to_edge_list (Graph_bin.load_csr path)
+         else load path)
+    with Failure msg | Sys_error msg | Invalid_argument msg -> Error msg

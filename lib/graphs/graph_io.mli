@@ -32,3 +32,9 @@ val read_coords : string -> Coords.t
 (** [load path] dispatches on extension: [.gr] loads DIMACS, anything else
     the simple edge-list format. This is the [load] intrinsic of the DSL. *)
 val load : string -> Edge_list.t
+
+(** [load_any path] is the one loader behind the binaries: a GRAPHBIN
+    file (sniffed by its magic, see {!Graph_bin.is_graph_bin}) through
+    {!Graph_bin.load_csr}, anything else through {!load}. A missing,
+    malformed or corrupt file is [Error msg], never an exception. *)
+val load_any : string -> (Edge_list.t, string) result

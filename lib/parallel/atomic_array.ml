@@ -90,43 +90,39 @@ let set a i v =
 let compare_and_set a i ~expected ~desired =
   Atomic.compare_and_set (cell a i) expected desired
 
-let fetch_min a i v =
-  let c = cell a i in
-  let rec retry () =
-    let cur = Atomic.get c in
-    if v >= cur then false
-    else if Atomic.compare_and_set c cur v then true
-    else retry ()
-  in
-  retry ()
+(* The CAS retry loops are top-level functions of the cell and value, not
+   local closures: without flambda a local [let rec retry () = ...]
+   allocates its closure on every call, which on the relaxation path is
+   every edge. *)
+let rec fetch_min_cell c v =
+  let cur = Atomic.get c in
+  if v >= cur then false
+  else if Atomic.compare_and_set c cur v then true
+  else fetch_min_cell c v
 
-let fetch_max a i v =
-  let c = cell a i in
-  let rec retry () =
-    let cur = Atomic.get c in
-    if v <= cur then false
-    else if Atomic.compare_and_set c cur v then true
-    else retry ()
-  in
-  retry ()
+let rec fetch_max_cell c v =
+  let cur = Atomic.get c in
+  if v <= cur then false
+  else if Atomic.compare_and_set c cur v then true
+  else fetch_max_cell c v
 
+let fetch_min a i v = fetch_min_cell (cell a i) v
+let fetch_max a i v = fetch_max_cell (cell a i) v
 let fetch_add a i d = Atomic.fetch_and_add (cell a i) d
 
-let add_with_floor a i ~delta ~floor =
-  let c = cell a i in
-  let rec retry () =
-    let cur = Atomic.get c in
-    (* A decrement must leave values already at or below the floor untouched
-       (clamping them *up* to the floor would un-finalize peeled vertices). *)
-    if delta < 0 && cur <= floor then None
-    else begin
-      let target = max floor (cur + delta) in
-      if target = cur then None
-      else if Atomic.compare_and_set c cur target then Some (cur, target)
-      else retry ()
-    end
-  in
-  retry ()
+let rec add_with_floor_cell c delta floor =
+  let cur = Atomic.get c in
+  (* A decrement must leave values already at or below the floor untouched
+     (clamping them *up* to the floor would un-finalize peeled vertices). *)
+  if delta < 0 && cur <= floor then None
+  else begin
+    let target = max floor (cur + delta) in
+    if target = cur then None
+    else if Atomic.compare_and_set c cur target then Some (cur, target)
+    else add_with_floor_cell c delta floor
+  end
+
+let add_with_floor a i ~delta ~floor = add_with_floor_cell (cell a i) delta floor
 
 let to_array a =
   Array.init a.length (fun i ->

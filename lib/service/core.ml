@@ -22,6 +22,9 @@ type item = {
   req : Protocol.request;
   reply : Protocol.response -> unit;
   enqueued_at : float;
+  mutable popped_at : float;
+      (* when the batcher took it off the queue: [popped_at -
+         enqueued_at] is the wake-up share of its queue wait *)
   deadline : Deadline.t option;
   trace : int;
       (* process-unique query id: the trace context of the batch run
@@ -83,6 +86,7 @@ type t = {
   m_commit_ops : Metrics.counter;
   m_compactions : Metrics.counter;
   h_queue_wait : Metrics.histogram;
+  h_wake : Metrics.histogram;
   h_batch_run : Metrics.histogram;
   h_request : Metrics.histogram;
   h_commit : Metrics.histogram;
@@ -143,6 +147,7 @@ let create ~pool ~handle ?coords ~config () =
     m_commit_ops = Metrics.counter reg "dynamic.ops_applied";
     m_compactions = Metrics.counter reg "dynamic.compactions";
     h_queue_wait = Metrics.histogram reg "service.queue_wait";
+    h_wake = Metrics.histogram reg "service.wake";
     h_batch_run = Metrics.histogram reg "service.batch_run";
     h_request = Metrics.histogram reg "service.request";
     h_commit = Metrics.histogram reg "dynamic.commit";
@@ -305,6 +310,7 @@ let log_query t item (resp : Protocol.response) ~batch_trace ~width ~rounds
           ("rounds", Json.Int rounds);
           ("edges_relaxed", Json.Int edges);
           ("wall_ms", Json.Float wall_ms);
+          ("wake_ms", Json.Float ((item.popped_at -. item.enqueued_at) *. 1000.));
           ("queue_wait_ms", Json.Float queue_wait_ms);
           ("deadline_ms", deadline_ms);
           ("deadline_slack_ms", slack_ms);
@@ -389,11 +395,13 @@ let validate t (req : Protocol.request) =
       None
 
 let enqueue t req ~reply =
+  let now = Unix.gettimeofday () in
   let item =
     {
       req;
       reply;
-      enqueued_at = Unix.gettimeofday ();
+      enqueued_at = now;
+      popped_at = now;
       deadline = deadline_of t req;
       trace = next_trace t;
     }
@@ -404,8 +412,10 @@ let enqueue t req ~reply =
     Metrics.incr t.m_error ~tid:0 ();
     reply
       (Protocol.rejected ~id:req.Protocol.id
-         (Printf.sprintf "queue full (capacity %d)"
-            (Request_queue.capacity t.queue)))
+         (if Request_queue.is_closed t.queue then "server stopping"
+          else
+            Printf.sprintf "queue full (capacity %d)"
+              (Request_queue.capacity t.queue)))
   end
 
 let submit t req ~reply =
@@ -832,6 +842,7 @@ let percentiles_json (snap : Metrics.snapshot) =
       ("request", of_hist "service.request");
       ("batch_run", of_hist "service.batch_run");
       ("queue_wait", of_hist "service.queue_wait");
+      ("wake", of_hist "service.wake");
     ]
 
 (* One streamed stats push: a compact subset of [stats_json] (queue
@@ -1055,11 +1066,16 @@ let run_group t = function
   | G_kcore members -> run_kcore_group t members
   | G_admin item -> run_admin t item
 
-let process_pending t ~max_wait_s =
+let process_pending t ~wait =
   let items =
-    Request_queue.pop_batch t.queue ~max:t.config.Config.max_batch
-      ~timeout_s:max_wait_s
+    Request_queue.pop_batch t.queue ~max:t.config.Config.max_batch ~wait
   in
+  let popped_at = Unix.gettimeofday () in
+  List.iter
+    (fun item ->
+      item.popped_at <- popped_at;
+      Metrics.observe t.h_wake (popped_at -. item.enqueued_at))
+    items;
   record_depth t;
   sweep_cancelled t;
   match items with
@@ -1088,7 +1104,7 @@ let drain_shutdown t =
   | None -> ());
   Request_queue.close t.queue;
   let rec drain () =
-    match Request_queue.pop_batch t.queue ~max:max_int ~timeout_s:0. with
+    match Request_queue.pop_batch t.queue ~max:max_int ~wait:false with
     | [] -> ()
     | items ->
         List.iter
@@ -1101,10 +1117,41 @@ let drain_shutdown t =
   in
   drain ()
 
+let idle_tick_s = 0.05
+
+(* The batcher sleeps in [pop_batch ~wait:true], so a push wakes it at
+   once. The ticker is its only other wake-up: every [idle_tick_s] it
+   ends an idle wait with [[]], which is the slot for background ALT
+   warm-up and for noticing [should_stop]. [should_stop] is a plain
+   flag, so a signal handler that sets it never touches the queue
+   mutex. The ticker sleeps in [select] on a pipe rather than in
+   [Thread.delay], so that [run_loop] can wake it to join it, and a
+   signal that interrupts its sleep (EINTR) ticks at once. *)
 let run_loop t ~should_stop =
-  while not (should_stop () || Atomic.get t.shutdown) do
-    let resolved = process_pending t ~max_wait_s:0.05 in
-    (* An idle cycle is the background-warmup slot: one landmark pair
-       per quiet tick until the ALT cache is fully warm. *)
-    if resolved = 0 then ignore (idle_warm t)
-  done
+  let stop_r, stop_w = Unix.pipe ~cloexec:true () in
+  let ticker =
+    Thread.create
+      (fun () ->
+        let rec loop () =
+          match Unix.select [ stop_r ] [] [] idle_tick_s with
+          | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) ->
+              Request_queue.tick t.queue;
+              loop ()
+          | _ -> ()
+        in
+        loop ())
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.write_substring stop_w "x" 0 1);
+      Thread.join ticker;
+      Unix.close stop_r;
+      Unix.close stop_w)
+    (fun () ->
+      while not (should_stop () || Atomic.get t.shutdown) do
+        let resolved = process_pending t ~wait:true in
+        (* An idle tick is the background-warmup slot: one landmark pair
+           per quiet tick until the ALT cache is fully warm. *)
+        if resolved = 0 then ignore (idle_warm t)
+      done)

@@ -70,14 +70,17 @@ val version : t -> int
     their [reply] until the batcher resolves them. Never blocks. *)
 val submit : t -> Protocol.request -> reply:(Protocol.response -> unit) -> unit
 
-(** [process_pending t ~max_wait_s] runs one batcher cycle: waits up to
-    [max_wait_s] for a non-empty queue, then drains ≤ [max_batch]
-    requests, groups, runs, replies. Returns the number of requests
-    resolved ([0] on timeout). Consumer thread only. *)
-val process_pending : t -> max_wait_s:float -> int
+(** [process_pending t ~wait] runs one batcher cycle: drains ≤
+    [max_batch] requests, groups, runs, replies, and returns the number
+    of requests taken off the queue. With [~wait:false] an empty queue
+    returns [0] at once. With [~wait:true] it first blocks until a
+    request is pushed, or until a {!Request_queue.tick} or a close ends
+    the wait with [0] (see {!Request_queue.pop_batch}). Consumer thread
+    only. *)
+val process_pending : t -> wait:bool -> int
 
 (** [idle_warm t] warms one cold ALT landmark (the background warmup
-    step {!run_loop} takes when the queue is idle); [false] when the
+    step {!run_loop} takes on each idle tick); [false] when the
     cache is already warm. *)
 val idle_warm : t -> bool
 
@@ -85,9 +88,13 @@ val idle_warm : t -> bool
     landmarks. *)
 val warm_alt : t -> int
 
-(** [run_loop t ~should_stop] is the runner-thread body: batcher cycles
-    interleaved with idle warmup, until [should_stop ()] or a [shutdown]
-    request. *)
+(** [run_loop t ~should_stop] is the runner-thread body: blocking batcher
+    cycles ({!process_pending} [~wait:true]), until [should_stop ()] or a
+    [shutdown] request. A request wakes the loop at once. One ticker
+    thread, started here and joined before the loop returns, wakes it
+    every 50 ms when idle; each such wake-up runs one idle
+    warm-up step and re-checks [should_stop], so a stop takes effect
+    within one tick plus the work in flight. *)
 val run_loop : t -> should_stop:(unit -> bool) -> unit
 
 (** [drain_shutdown t] closes the queue and answers every still-queued

@@ -1,9 +1,13 @@
 type 'a t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
+      (* signalled by [try_push], broadcast by [tick] and [close] *)
   items : 'a Queue.t;
   capacity : int;
   mutable closed : bool;
+  mutable ticks : int;
+      (* bumped by every [tick]; a waiter compares it with the count it
+         saw on entry, so only a tick that lands during its wait ends it *)
 }
 
 let create ~capacity () =
@@ -14,6 +18,7 @@ let create ~capacity () =
     items = Queue.create ();
     capacity;
     closed = false;
+    ticks = 0;
   }
 
 let capacity t = t.capacity
@@ -33,40 +38,30 @@ let try_push t x =
         true
       end)
 
-(* Condition variables have no native timed wait; a closing or pushing
-   thread signals, and a dedicated waiter re-checks the clock. To keep
-   the implementation dependency-free the timeout is approximated by
-   polling at a fine grain only while empty — the queue is the server's
-   idle loop, so a 10 ms granularity costs nothing measurable and the
-   push path stays a plain signal. *)
-let poll_interval = 0.01
+let tick t =
+  with_lock t (fun () ->
+      t.ticks <- t.ticks + 1;
+      Condition.broadcast t.nonempty)
 
-let pop_batch t ~max ~timeout_s =
+(* The consumer sleeps on [nonempty] itself, so a push wakes it at once.
+   The loop re-checks its condition after every wake-up, because
+   condition variables may wake spuriously. *)
+let pop_batch t ~max ~wait =
   if max < 1 then invalid_arg "Request_queue.pop_batch: max < 1";
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec wait () =
-    if Queue.is_empty t.items && not t.closed then begin
-      let remaining = deadline -. Unix.gettimeofday () in
-      if remaining <= 0. then []
-      else begin
-        (* Drop the lock while sleeping so producers can push. *)
-        Mutex.unlock t.mutex;
-        Thread.delay (Float.min poll_interval remaining);
-        Mutex.lock t.mutex;
-        wait ()
-      end
-    end
-    else begin
+  with_lock t (fun () ->
+      if wait then begin
+        let seen = t.ticks in
+        while Queue.is_empty t.items && (not t.closed) && t.ticks = seen do
+          Condition.wait t.nonempty t.mutex
+        done
+      end;
       let batch = ref [] in
       let n = ref 0 in
       while (not (Queue.is_empty t.items)) && !n < max do
         batch := Queue.take t.items :: !batch;
         incr n
       done;
-      List.rev !batch
-    end
-  in
-  with_lock t wait
+      List.rev !batch)
 
 let close t =
   with_lock t (fun () ->

@@ -6,10 +6,13 @@
     [rejected] immediately, so a traffic spike degrades into fast
     rejections instead of unbounded memory growth and collapsing tail
     latency. Blocking happens only on the consumer side, in
-    {!pop_batch}, and only while the queue is empty.
+    {!pop_batch ~wait:true}, and only while the queue is empty: the
+    consumer sleeps on the queue's condition variable, so a push wakes it
+    at once. {!tick} is the explicit idle
+    wake-up (the batcher's ticker thread sends one every 50 ms).
 
     The concurrency invariants this structure must uphold are named and
-    tested in docs/SERVICE.md §6 (I1–I3). *)
+    tested in docs/SERVICE.md §6 (I1–I3, I9). *)
 
 type 'a t
 
@@ -26,10 +29,17 @@ val length : 'a t -> int
     Never blocks; wakes the consumer. *)
 val try_push : 'a t -> 'a -> bool
 
-(** [pop_batch t ~max ~timeout_s] blocks until at least one item is
-    queued (or [timeout_s] elapses, or the queue closes), then drains up
-    to [max] items in FIFO order. [[]] means timeout or closed. *)
-val pop_batch : 'a t -> max:int -> timeout_s:float -> 'a list
+(** [pop_batch t ~max ~wait] drains up to [max] items in FIFO order.
+    With [~wait:false] it never blocks and returns [[]] when the queue is
+    empty. With [~wait:true] it first blocks until an item is queued,
+    the queue is closed, or a {!tick} arrives {e during this wait}; only
+    in the last two cases, with the queue still empty, does it return
+    [[]]. A tick sent while no consumer was waiting is not remembered. *)
+val pop_batch : 'a t -> max:int -> wait:bool -> 'a list
+
+(** [tick t] wakes a consumer blocked in [pop_batch ~wait:true], which
+    returns what is queued, possibly [[]]. *)
+val tick : 'a t -> unit
 
 (** [close t] wakes blocked consumers; subsequent pushes are refused and
     pops return the remaining items, then [[]] forever. *)

@@ -72,7 +72,10 @@ let read_line ic buf =
 (* One reader thread per connection: parse a line, submit, move on.
    Replies go through [send], serialized by the connection's write lock
    because the runner thread answers engine queries while this thread
-   may still be emitting admission rejections. *)
+   may still be emitting admission rejections. The reader runs to end of
+   input, not to [stopping]: [wait] half-closes each connection only
+   after the drain, so every request this thread admitted is answered
+   before its socket closes (I6). *)
 let serve_connection t fd =
   let write_lock = Mutex.create () in
   let alive = ref true in
@@ -96,7 +99,7 @@ let serve_connection t fd =
   let ic = Unix.in_channel_of_descr fd in
   let buf = Buffer.create 256 in
   (try
-     while !alive && not (Atomic.get t.stopping) do
+     while !alive do
        match read_line ic buf with
        | None | (exception Sys_error _) -> alive := false
        | Some (Error ()) ->

@@ -315,7 +315,7 @@ let run_queries core reqs =
     reqs;
   let drained = ref 1 in
   while !drained > 0 do
-    drained := Service.Core.process_pending core ~max_wait_s:0.
+    drained := Service.Core.process_pending core ~wait:false
   done;
   List.map
     (fun r ->
@@ -453,7 +453,7 @@ let test_service_cancel () =
       submit (req 10 (Protocol.Cancel { query = 1 }));
       let drained = ref 1 in
       while !drained > 0 do
-        drained := Service.Core.process_pending core ~max_wait_s:0.
+        drained := Service.Core.process_pending core ~wait:false
       done;
       let status id =
         match Hashtbl.find_opt replies id with

@@ -362,30 +362,57 @@ let test_graph_bin_rejects_truncation () =
 
 (* A crafted file whose lengths all agree but whose structure is broken
    must fail with the loader's own error (message prefixed by the path),
-   not load and then read out of bounds. One flipped word per case. *)
+   not load and then read out of bounds. One flipped word or byte per
+   case, each through both loaders: [load] checks the on-disk layout,
+   [load_csr] decodes a compressed file once and checks the plain
+   arrays. *)
 let test_graph_bin_rejects_corrupt_structure () =
   let g = random_graph 79 ~n:40 ~m:200 in
   let n = Csr.num_vertices g in
-  let expect_rejected ?(layout = Layout.Plain) what ~at value =
-    with_temp_bin (fun path ->
-        Graph_bin.save path ~layout g;
-        let b = In_channel.with_open_bin path In_channel.input_all |> Bytes.of_string in
-        Bytes.set_int64_le b at value;
-        Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
-        match Graph_bin.load path with
-        | exception Failure msg when String.starts_with ~prefix:path msg -> ()
-        | exception e -> Alcotest.failf "%s: crashed with %s" what (Printexc.to_string e)
-        | _ -> Alcotest.failf "%s: loaded a corrupt file" what)
+  let expect_rejected ?(layout = Layout.Plain) what patch =
+    List.iter
+      (fun (loader, load) ->
+        with_temp_bin (fun path ->
+            Graph_bin.save path ~layout g;
+            let b =
+              In_channel.with_open_bin path In_channel.input_all |> Bytes.of_string
+            in
+            patch b;
+            Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+            match load path with
+            | exception Failure msg when String.starts_with ~prefix:path msg -> ()
+            | exception e ->
+                Alcotest.failf "%s via %s: crashed with %s" what loader
+                  (Printexc.to_string e)
+            | () -> Alcotest.failf "%s via %s: loaded a corrupt file" what loader))
+      [
+        ("load", fun p -> ignore (Graph_bin.load p));
+        ("load_csr", fun p -> ignore (Graph_bin.load_csr p));
+      ]
   in
-  let word i = 64 + (8 * i) in
-  expect_rejected "offset out of order" ~at:(word 10) 10_000L;
-  expect_rejected "target out of range" ~at:(word (n + 1)) (Int64.of_int n);
-  expect_rejected "vertex count overflows the payload size" ~at:32
-    (Int64.shift_left 1L 60);
-  (* Compressed: degrees[0] no longer sums to m; starts[1] past the data. *)
-  expect_rejected ~layout:Layout.Compressed "degree sum" ~at:(word 0) 7L;
-  expect_rejected ~layout:Layout.Compressed "starts out of order" ~at:(word (n + 1))
-    100_000L
+  let word i value b = Bytes.set_int64_le b (64 + (8 * i)) value in
+  expect_rejected "offset out of order" (word 10 10_000L);
+  expect_rejected "target out of range" (word (n + 1) (Int64.of_int n));
+  expect_rejected "vertex count overflows the payload size" (fun b ->
+      Bytes.set_int64_le b 32 (Int64.shift_left 1L 60));
+  (* Compressed: degrees[n] starts[n+1] words, then the varint bytes. *)
+  let compressed = Graphs.Csr_compressed.of_csr g in
+  let starts = Graphs.Csr_compressed.starts compressed in
+  let u = 5 in
+  assert (Csr.out_degree g u > 0);
+  let stream_byte i value b =
+    Bytes.set_uint8 b (64 + (8 * ((2 * n) + 1)) + i) value
+  in
+  let expect_rejected = expect_rejected ~layout:Layout.Compressed in
+  expect_rejected "degree sum" (word 0 7L);
+  expect_rejected "starts out of order" (word (n + 1) 100_000L);
+  expect_rejected "compressed vertex count overflows the payload size" (fun b ->
+      Bytes.set_int64_le b 32 (Int64.shift_left 1L 60));
+  (* First target of vertex [u] decodes to [u + 63], past [n = 40]. *)
+  expect_rejected "compressed target out of range" (stream_byte starts.(u) 0x7e);
+  (* The last byte of [u]'s stream continues past the end of its range. *)
+  expect_rejected "varint runs past its vertex"
+    (stream_byte (starts.(u + 1) - 1) 0xff)
 
 let () =
   Alcotest.run "graphs"

@@ -87,6 +87,26 @@ let test_atomic_fetch_min_max () =
   Alcotest.(check bool) "max no-op" false (Atomic_array.fetch_max a 1 15);
   Alcotest.(check int) "value after max" 20 (Atomic_array.get a 1)
 
+(* fetch_min/fetch_max sit on the per-edge relaxation path, so they must
+   not allocate: 100,000 calls of each, half of them taking the update
+   branch, stay under 0.01 minor words per call. *)
+let test_atomic_fetch_min_max_no_alloc () =
+  let calls = 100_000 in
+  let a = Atomic_array.make 64 0 in
+  let words_per_call f =
+    let before = Gc.minor_words () in
+    for i = 1 to calls do
+      ignore (Sys.opaque_identity (f a (i land 63) (i * 7919 mod 1000)))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let check name f =
+    let w = words_per_call f in
+    if w >= 0.01 then Alcotest.failf "%s: %.4f minor words per call" name w
+  in
+  check "fetch_min" Atomic_array.fetch_min;
+  check "fetch_max" Atomic_array.fetch_max
+
 let test_atomic_add_with_floor () =
   let a = Atomic_array.make 1 10 in
   (match Atomic_array.add_with_floor a 0 ~delta:(-3) ~floor:5 with
@@ -336,6 +356,8 @@ let () =
       ( "atomic_array",
         [
           Alcotest.test_case "fetch_min/max" `Quick test_atomic_fetch_min_max;
+          Alcotest.test_case "fetch_min/max allocate nothing" `Quick
+            test_atomic_fetch_min_max_no_alloc;
           Alcotest.test_case "add_with_floor" `Quick test_atomic_add_with_floor;
           Alcotest.test_case "concurrent min" `Quick test_atomic_concurrent_min;
           Alcotest.test_case "concurrent fetch_add" `Quick

@@ -31,14 +31,39 @@ let test_queue_admission () =
   Alcotest.(check int) "depth" 3 (Request_queue.length q);
   (* FIFO, bounded drain. *)
   Alcotest.(check (list int)) "first two" [ 1; 2 ]
-    (Request_queue.pop_batch q ~max:2 ~timeout_s:0.);
+    (Request_queue.pop_batch q ~max:2 ~wait:false);
   Alcotest.(check bool) "room again" true (Request_queue.try_push q 5);
   Alcotest.(check (list int)) "rest in order" [ 3; 5 ]
-    (Request_queue.pop_batch q ~max:10 ~timeout_s:0.);
-  Alcotest.(check (list int)) "empty timeout" []
-    (Request_queue.pop_batch q ~max:10 ~timeout_s:0.);
+    (Request_queue.pop_batch q ~max:10 ~wait:false);
+  Alcotest.(check (list int)) "empty, no wait" []
+    (Request_queue.pop_batch q ~max:10 ~wait:false);
   Request_queue.close q;
   Alcotest.(check bool) "closed rejects" false (Request_queue.try_push q 6)
+
+(* Runs [f] on its own thread and returns its result, failing the test
+   if [f] is still blocked after [watchdog_s]: a lost wake-up fails
+   loudly instead of hanging the suite. *)
+let watchdog_s = 5.
+
+let with_watchdog what f =
+  let result = Atomic.make None in
+  ignore
+    (Thread.create
+       (fun () ->
+         Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+       ());
+  let deadline = Unix.gettimeofday () +. watchdog_s in
+  let rec await () =
+    match Atomic.get result with
+    | Some (Ok r) -> r
+    | Some (Error e) -> raise e
+    | None when Unix.gettimeofday () > deadline ->
+        Alcotest.failf "%s: still blocked after %.0f s" what watchdog_s
+    | None ->
+        Thread.delay 0.001;
+        await ()
+  in
+  await ()
 
 let test_queue_cross_thread () =
   let q = Request_queue.create ~capacity:64 () in
@@ -52,12 +77,111 @@ let test_queue_cross_thread () =
         done)
       ()
   in
-  let got = ref [] in
-  while List.length !got < 50 do
-    got := !got @ Request_queue.pop_batch q ~max:8 ~timeout_s:0.5
-  done;
+  let got =
+    with_watchdog "cross-thread consumer" (fun () ->
+        let got = ref [] in
+        while List.length !got < 50 do
+          got := !got @ Request_queue.pop_batch q ~max:8 ~wait:true
+        done;
+        !got)
+  in
   Thread.join producer;
-  Alcotest.(check (list int)) "all items in order" (List.init 50 (fun i -> i + 1)) !got
+  Alcotest.(check (list int)) "all items in order" (List.init 50 (fun i -> i + 1)) got
+
+(* I9 (a): with no ticker at all, a consumer blocked on an empty queue
+   returns the item another thread pushes — the push itself wakes it. *)
+let test_queue_push_wakes_consumer () =
+  let q = Request_queue.create ~capacity:4 () in
+  let producer =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.05;
+        ignore (Request_queue.try_push q 42))
+      ()
+  in
+  let got =
+    with_watchdog "consumer waiting for a push" (fun () ->
+        Request_queue.pop_batch q ~max:4 ~wait:true)
+  in
+  Thread.join producer;
+  Alcotest.(check (list int)) "pushed item" [ 42 ] got
+
+(* (b): [close] ends a blocked wait with [[]]. *)
+let test_queue_close_wakes_consumer () =
+  let q = Request_queue.create ~capacity:4 () in
+  let closer =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.05;
+        Request_queue.close q)
+      ()
+  in
+  let got =
+    with_watchdog "consumer waiting for close" (fun () ->
+        Request_queue.pop_batch q ~max:4 ~wait:true)
+  in
+  Thread.join closer;
+  Alcotest.(check (list int)) "closed, empty" [] got
+
+(* I9 (c): a tick ends a blocked wait with [[]]; an item pushed just
+   before a tick comes back in the batch that tick ends. The tick thread
+   keeps ticking until the consumer returns, since a tick sent before
+   the consumer starts waiting is (by (d)) not remembered. *)
+let test_queue_tick_wakes_consumer () =
+  let q = Request_queue.create ~capacity:4 () in
+  let tick_until_done returned =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get returned) do
+          Thread.delay 0.01;
+          Request_queue.tick q
+        done)
+      ()
+  in
+  let returned = Atomic.make false in
+  let ticker = tick_until_done returned in
+  let got =
+    with_watchdog "consumer waiting for a tick" (fun () ->
+        let r = Request_queue.pop_batch q ~max:4 ~wait:true in
+        Atomic.set returned true;
+        r)
+  in
+  Thread.join ticker;
+  Alcotest.(check (list int)) "tick, empty" [] got;
+  let producer =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.05;
+        ignore (Request_queue.try_push q 7);
+        Request_queue.tick q)
+      ()
+  in
+  let got =
+    with_watchdog "consumer woken by push then tick" (fun () ->
+        Request_queue.pop_batch q ~max:4 ~wait:true)
+  in
+  Thread.join producer;
+  Alcotest.(check (list int)) "item pushed before the tick" [ 7 ] got
+
+(* (d): a tick sent while no consumer waits is not remembered, so the
+   next blocking pop still waits — here for the item pushed later. *)
+let test_queue_stale_tick_ignored () =
+  let q = Request_queue.create ~capacity:4 () in
+  Request_queue.tick q;
+  Request_queue.tick q;
+  let producer =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.05;
+        ignore (Request_queue.try_push q 3))
+      ()
+  in
+  let got =
+    with_watchdog "consumer after a stale tick" (fun () ->
+        Request_queue.pop_batch q ~max:4 ~wait:true)
+  in
+  Thread.join producer;
+  Alcotest.(check (list int)) "waited for the push" [ 3 ] got
 
 (* ---------------- protocol ---------------- *)
 
@@ -116,7 +240,7 @@ let mk_core ?(landmarks = 2) ?(queue_capacity = 256) ?(max_batch = 32)
 let pump core =
   let drained = ref 1 in
   while !drained > 0 do
-    drained := Service.Core.process_pending core ~max_wait_s:0.
+    drained := Service.Core.process_pending core ~wait:false
   done
 
 let req ?deadline_ms id op = { Protocol.id; op; deadline_ms }
@@ -840,6 +964,98 @@ let test_no_threshold_no_slow_records () =
       Alcotest.(check int) "one attribution record" 1
         (List.length (records_of_event "service.query.done" records)))
 
+let log_float field j =
+  match Json.member field j with
+  | Some (Json.Float v) -> v
+  | Some (Json.Int v) -> float_of_int v
+  | _ -> Alcotest.failf "record without %s: %s" field (Json.to_string j)
+
+(* Every attribution record splits its latency into nested intervals:
+   the wake-up (admission to pop) lies inside the queue wait (admission
+   to group start), which lies inside the wall time. *)
+let test_wake_within_queue_wait () =
+  let csr = Testlib.random_weighted_graph 31 ~n:120 ~m:600 ~max_w:16 in
+  Pool.with_pool ~num_workers:1 (fun pool ->
+      let core = mk_core ~pool csr in
+      let (), records =
+        with_log_capture (fun () ->
+            ignore
+              (run_queries core
+                 [
+                   req 1 (Protocol.Ppsp { source = 0; target = 50 });
+                   req 2 (Protocol.Ppsp { source = 0; target = 51 });
+                   req 3 (Protocol.Astar { source = 1; target = 60 });
+                   req 4 (Protocol.Widest { source = 2; target = 70 });
+                   req 5 (Protocol.Kcore { vertex = 3 });
+                 ]))
+      in
+      let records = records_of_event "service.query.done" records in
+      Alcotest.(check int) "one record per query" 5 (List.length records);
+      List.iter
+        (fun r ->
+          let wake = log_float "wake_ms" r
+          and queue_wait = log_float "queue_wait_ms" r
+          and wall = log_float "wall_ms" r in
+          if not (0. <= wake && wake <= queue_wait && queue_wait <= wall) then
+            Alcotest.failf "wake %g, queue wait %g, wall %g not nested" wake
+              queue_wait wall)
+        records)
+
+(* I6 after an idle spell: a server that sat idle for a second (its
+   batcher asleep on the queue, woken only by ticks) answers every
+   request it admitted — replies or "server stopping" rejections —
+   when it is stopped while they are in flight. *)
+let test_idle_server_answers_admitted () =
+  let csr = Testlib.random_weighted_graph 37 ~n:200 ~m:1000 ~max_w:32 in
+  Pool.with_pool ~num_workers:1 (fun pool ->
+      let path = tmp_socket_path () in
+      let server =
+        Service.Server.start ~core:(mk_core ~pool csr)
+          ~address:(Service.Server.Unix_sock path) ()
+      in
+      Thread.delay 1.0;
+      let admitted_before = counter_value "service.requests" in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.;
+      let n = 40 in
+      for i = 1 to n do
+        send_line fd
+          (Json.to_string
+             (Protocol.request_to_json
+                (req i (Protocol.Ppsp { source = i mod 5; target = (7 * i) mod 200 }))))
+      done;
+      let ic = Unix.in_channel_of_descr fd in
+      let first = input_line ic in
+      Service.Server.stop server;
+      let replies = Hashtbl.create n in
+      let record line =
+        match Result.bind (Json.of_string line) Protocol.response_of_json with
+        | Ok resp ->
+            if Hashtbl.mem replies resp.Protocol.rid then
+              Alcotest.failf "two replies for id %d" resp.Protocol.rid;
+            Hashtbl.replace replies resp.Protocol.rid resp
+        | Error msg -> Alcotest.failf "bad response %S: %s" line msg
+      in
+      record first;
+      (try
+         while true do
+           record (input_line ic)
+         done
+       with End_of_file -> ());
+      Unix.close fd;
+      let admitted = counter_value "service.requests" - admitted_before in
+      Alcotest.(check bool) "some requests admitted" true (admitted >= 1);
+      Alcotest.(check int) "one reply per admitted request" admitted
+        (Hashtbl.length replies);
+      Hashtbl.iter
+        (fun _ resp ->
+          if
+            resp.Protocol.status <> Protocol.Ok
+            && resp.Protocol.status <> Protocol.Rejected
+          then Alcotest.failf "reply %d neither ok nor rejected" resp.Protocol.rid)
+        replies)
+
 (* ---------------- live stats streaming ---------------- *)
 
 let test_subscribe_stream () =
@@ -947,6 +1163,14 @@ let () =
         [
           Alcotest.test_case "bounded admission" `Quick test_queue_admission;
           Alcotest.test_case "cross-thread" `Quick test_queue_cross_thread;
+          Alcotest.test_case "push wakes a blocked consumer" `Quick
+            test_queue_push_wakes_consumer;
+          Alcotest.test_case "close wakes a blocked consumer" `Quick
+            test_queue_close_wakes_consumer;
+          Alcotest.test_case "tick wakes a blocked consumer" `Quick
+            test_queue_tick_wakes_consumer;
+          Alcotest.test_case "stale tick is not remembered" `Quick
+            test_queue_stale_tick_ignored;
         ] );
       ( "protocol",
         [
@@ -985,6 +1209,8 @@ let () =
             test_slow_query_record_and_replay;
           Alcotest.test_case "no threshold, no slow records" `Quick
             test_no_threshold_no_slow_records;
+          Alcotest.test_case "wake_ms within queue_wait_ms within wall_ms"
+            `Quick test_wake_within_queue_wait;
         ] );
       ( "subscribe",
         [
@@ -1000,6 +1226,8 @@ let () =
             test_concurrent_clients;
           Alcotest.test_case "oversize line gets an error reply" `Quick
             test_oversize_line_rejected;
+          Alcotest.test_case "idle server answers every admitted request"
+            `Quick test_idle_server_answers_admitted;
         ] );
       ( "docs",
         [
