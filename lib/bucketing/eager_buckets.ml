@@ -1,9 +1,16 @@
 module Int_vec = Support.Int_vec
 
+(* Bins are recycled, not allocated per key: a slot that has never held a
+   vertex points at the shared [empty] sentinel, and once the cursor moves
+   past a slot its vector goes onto the owning worker's spare stack for
+   the next fresh slot. A Δ = 1 wBFS walks tens of thousands of keys, and
+   a vector per key would be allocated, promoted and dropped for each. *)
 type local = {
   mutable bins : Int_vec.t array; (* slot i holds key base + i *)
   mutable min_slot : int; (* lower bound on the smallest non-empty slot *)
   mutable inserts : int;
+  mutable recycled : int; (* slots below this hold [empty] *)
+  mutable spare : Int_vec.t list; (* emptied vectors, ready for reuse *)
 }
 
 type t = {
@@ -13,6 +20,10 @@ type t = {
   mutable cur_slot : int;
 }
 
+(* Shared by every instance and domain, so it is only ever read: [insert]
+   swaps in a real vector before pushing, and nothing clears it. *)
+let empty = Int_vec.create ~capacity:1 ()
+
 let create ~num_workers ~min_key () =
   if num_workers < 1 then invalid_arg "Eager_buckets.create: num_workers >= 1";
   {
@@ -20,7 +31,8 @@ let create ~num_workers ~min_key () =
     base = min_key;
     locals =
       Array.init num_workers (fun _ ->
-          { bins = [||]; min_slot = max_int; inserts = 0 });
+          { bins = [||]; min_slot = max_int; inserts = 0; recycled = 0;
+            spare = [] });
     cur_slot = 0;
   }
 
@@ -29,12 +41,31 @@ let num_workers t = t.workers
 let ensure_slot local slot =
   if slot >= Array.length local.bins then begin
     let len = max (slot + 1) (max 8 (2 * Array.length local.bins)) in
-    let bins = Array.init len (fun i ->
-        if i < Array.length local.bins then local.bins.(i)
-        else Int_vec.create ~capacity:2 ())
-    in
+    let bins = Array.make len empty in
+    Array.blit local.bins 0 bins 0 (Array.length local.bins);
     local.bins <- bins
   end
+
+let fresh_bin local =
+  match local.spare with
+  | [] -> Int_vec.create ~capacity:2 ()
+  | bin :: rest ->
+      local.spare <- rest;
+      bin
+
+(* Moves the vectors of the slots the cursor has passed onto the spare
+   stack. They are empty: drains clear their bin, and inserts behind the
+   cursor clamp to it. *)
+let recycle local ~below =
+  let stop = min below (Array.length local.bins) in
+  for slot = local.recycled to stop - 1 do
+    let bin = local.bins.(slot) in
+    if bin != empty then begin
+      local.spare <- bin :: local.spare;
+      local.bins.(slot) <- empty
+    end
+  done;
+  local.recycled <- stop
 
 let insert t ~tid ~vertex ~key =
   if key <> Bucket_order.null_key then begin
@@ -43,7 +74,16 @@ let insert t ~tid ~vertex ~key =
        current bucket; clamp defensively, as GAPBS does with its floor. *)
     let slot = max (key - t.base) t.cur_slot in
     ensure_slot local slot;
-    Int_vec.push local.bins.(slot) vertex;
+    let bin = local.bins.(slot) in
+    let bin =
+      if bin != empty then bin
+      else begin
+        let fresh = fresh_bin local in
+        local.bins.(slot) <- fresh;
+        fresh
+      end
+    in
+    Int_vec.push bin vertex;
     if slot < local.min_slot then local.min_slot <- slot;
     local.inserts <- local.inserts + 1
   end
@@ -71,6 +111,7 @@ let next_global_key t =
       if !best = max_int then None
       else begin
         t.cur_slot <- !best;
+        Array.iter (recycle ~below:!best) t.locals;
         Some (t.base + !best)
       end)
 
@@ -93,9 +134,11 @@ let drain_global t ~key =
         (fun local ->
           if slot < Array.length local.bins then begin
             let bin = local.bins.(slot) in
-            Int_vec.blit_to_array bin out !pos;
-            pos := !pos + Int_vec.length bin;
-            Int_vec.clear bin
+            if not (Int_vec.is_empty bin) then begin
+              Int_vec.blit_to_array bin out !pos;
+              pos := !pos + Int_vec.length bin;
+              Int_vec.clear bin
+            end
           end)
         t.locals;
       out)

@@ -3,6 +3,14 @@
 
 type t
 
+(** The per-edge arrays (targets, weights): Bigarrays, so the bulk of a
+    graph lives outside the OCaml heap. *)
+type edges = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [create_edges m] is an uninitialized edge array of length [m], for
+    builders that fill every slot. *)
+val create_edges : int -> edges
+
 (** [of_edge_list el] builds the CSR form with a counting sort; neighbor
     lists are ordered by destination id. *)
 val of_edge_list : Edge_list.t -> t
@@ -15,8 +23,8 @@ val of_edge_list : Edge_list.t -> t
 val unsafe_of_arrays :
   num_vertices:int ->
   offsets:int array ->
-  targets:int array ->
-  weights:int array ->
+  targets:edges ->
+  weights:edges ->
   t
 
 (** [validate g] is the O(n + m) structural check that makes a graph from
@@ -30,8 +38,8 @@ val validate : t -> (unit, string) result
     arrays (for serialization and layout conversion). Do not mutate. *)
 val offsets : t -> int array
 
-val targets : t -> int array
-val weights : t -> int array
+val targets : t -> edges
+val weights : t -> edges
 
 (** [num_vertices g] is |V|. *)
 val num_vertices : t -> int

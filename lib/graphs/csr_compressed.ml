@@ -150,12 +150,12 @@ let validate g =
   | exception Corrupt msg -> Error msg
 
 let to_csr_checked g =
-  let targets = Array.make g.m 0 and weights = Array.make g.m 0 in
+  let targets = Csr.create_edges g.m and weights = Csr.create_edges g.m in
   let k = ref 0 in
   match
     iter_checked g (fun _ dst weight ->
-        targets.(!k) <- dst;
-        weights.(!k) <- weight;
+        targets.{!k} <- dst;
+        weights.{!k} <- weight;
         incr k)
   with
   | exception Corrupt msg -> Error msg
@@ -203,13 +203,13 @@ let to_csr g =
   for u = 0 to g.n - 1 do
     offsets.(u + 1) <- offsets.(u) + g.degrees.(u)
   done;
-  let targets = Array.make g.m 0 in
-  let weights = Array.make g.m 0 in
+  let targets = Csr.create_edges g.m in
+  let weights = Csr.create_edges g.m in
   for u = 0 to g.n - 1 do
     let k = ref offsets.(u) in
     iter_out g u (fun dst weight ->
-        targets.(!k) <- dst;
-        weights.(!k) <- weight;
+        Bigarray.Array1.unsafe_set targets !k dst;
+        Bigarray.Array1.unsafe_set weights !k weight;
         incr k)
   done;
   Csr.unsafe_of_arrays ~num_vertices:g.n ~offsets ~targets ~weights

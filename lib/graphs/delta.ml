@@ -107,8 +107,8 @@ let apply (csr : Csr.t) (batch : batch) : Csr.t =
     offsets.(u + 1) <- offsets.(u) + deg
   done;
   let m = offsets.(n) in
-  let targets = Array.make m 0 in
-  let weights = Array.make m 0 in
+  let targets = Csr.create_edges m in
+  let weights = Csr.create_edges m in
   let old_offsets = Csr.offsets csr in
   let old_targets = Csr.targets csr in
   let old_weights = Csr.weights csr in
@@ -118,14 +118,17 @@ let apply (csr : Csr.t) (batch : batch) : Csr.t =
     | Some arr ->
         Array.iteri
           (fun i (dst, w) ->
-            targets.(lo + i) <- dst;
-            weights.(lo + i) <- w)
+            targets.{lo + i} <- dst;
+            weights.{lo + i} <- w)
           arr
     | None ->
-        let old_lo = old_offsets.(u) in
-        let deg = old_offsets.(u + 1) - old_lo in
-        Array.blit old_targets old_lo targets lo deg;
-        Array.blit old_weights old_lo weights lo deg
+        let shift = old_offsets.(u) - lo in
+        for i = lo to offsets.(u + 1) - 1 do
+          Bigarray.Array1.unsafe_set targets i
+            (Bigarray.Array1.unsafe_get old_targets (i + shift));
+          Bigarray.Array1.unsafe_set weights i
+            (Bigarray.Array1.unsafe_get old_weights (i + shift))
+        done
   done;
   Csr.unsafe_of_arrays ~num_vertices:n ~offsets ~targets ~weights
 

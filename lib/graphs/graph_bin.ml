@@ -3,8 +3,8 @@
    Multi-million-vertex graphs should load in milliseconds, not re-parse
    an edge-list text file (integer parsing + a counting sort per load).
    The format stores the already-built CSR arrays — plain or compressed —
-   so loading is one [Unix.map_file] plus a straight-line blit into OCaml
-   arrays, bounded by memory bandwidth rather than parsing.
+   so loading is one [Unix.map_file] plus a straight-line copy into the
+   graph's arrays, bounded by memory bandwidth rather than parsing.
 
    Layout (all multi-byte fields little-endian; see docs/INTERNALS.md):
 
@@ -39,19 +39,23 @@ let invalid path msg = failwith (Printf.sprintf "%s: %s" path msg)
 
 (* Buffered little-endian writer: one [Bytes] chunk reused across the
    whole array so huge graphs do not allocate per element. *)
-let write_int_array oc arr =
+let write_ints oc len get =
   let chunk_elts = 8192 in
   let buf = Bytes.create (8 * chunk_elts) in
-  let len = Array.length arr in
   let pos = ref 0 in
   while !pos < len do
     let count = min chunk_elts (len - !pos) in
     for i = 0 to count - 1 do
-      Bytes.set_int64_le buf (8 * i) (Int64.of_int arr.(!pos + i))
+      Bytes.set_int64_le buf (8 * i) (Int64.of_int (get (!pos + i)))
     done;
-    output_bytes oc (Bytes.sub buf 0 (8 * count));
+    output oc buf 0 (8 * count);
     pos := !pos + count
   done
+
+let write_int_array oc a = write_ints oc (Array.length a) (Array.unsafe_get a)
+
+let write_edges oc (e : Csr.edges) =
+  write_ints oc (Bigarray.Array1.dim e) (fun i -> Bigarray.Array1.unsafe_get e i)
 
 let write_header oc ~layout ~n ~m ~aux =
   let h = Bytes.make header_bytes '\000' in
@@ -74,8 +78,8 @@ let save path ?(layout = Layout.Plain) csr =
       | Layout.Plain ->
           write_header oc ~layout ~n ~m ~aux:0;
           write_int_array oc (Csr.offsets csr);
-          write_int_array oc (Csr.targets csr);
-          write_int_array oc (Csr.weights csr)
+          write_edges oc (Csr.targets csr);
+          write_edges oc (Csr.weights csr)
       | Layout.Compressed ->
           let c = Csr_compressed.of_csr csr in
           let data = Csr_compressed.data c in
@@ -100,14 +104,23 @@ let swap64 v =
        (logor (b 2) (logor (b 3) (logor (b 4) (logor (b 5) (logor (b 6) (b 7)))))))
 
 (* One i64 Bigarray view over the whole payload region (Unix.map_file
-   handles non-page-aligned [pos] internally), copied into int arrays with
-   a straight swap-free loop on little-endian hosts. *)
-let copy_ints (map : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t)
-    ~off ~len =
-  let swap = Sys.big_endian in
-  Array.init len (fun i ->
-      let v = Bigarray.Array1.unsafe_get map (off + i) in
-      Int64.to_int (if swap then swap64 v else v))
+   handles non-page-aligned [pos] internally), copied out with a straight
+   swap-free loop on little-endian hosts: per-vertex arrays into int
+   arrays, per-edge arrays into {!Csr.edges}. The map itself is not kept. *)
+type map = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let[@inline] read_int (map : map) i =
+  let v = Bigarray.Array1.unsafe_get map i in
+  Int64.to_int (if Sys.big_endian then swap64 v else v)
+
+let copy_ints map ~off ~len = Array.init len (fun i -> read_int map (off + i))
+
+let copy_edges map ~off ~len =
+  let e = Csr.create_edges len in
+  for i = 0 to len - 1 do
+    Bigarray.Array1.unsafe_set e i (read_int map (off + i))
+  done;
+  e
 
 (* Maps and copies the payload after the header checks; the structural
    check is left to the caller, which knows what it decodes next. *)
@@ -154,8 +167,8 @@ let load_unchecked path =
           need_payload words 0;
           let map = map_words words in
           let offsets = copy_ints map ~off:0 ~len:(n + 1) in
-          let targets = copy_ints map ~off:(n + 1) ~len:m in
-          let weights = copy_ints map ~off:(n + 1 + m) ~len:m in
+          let targets = copy_edges map ~off:(n + 1) ~len:m in
+          let weights = copy_edges map ~off:(n + 1 + m) ~len:m in
           Layout.Plain_graph
             (Csr.unsafe_of_arrays ~num_vertices:n ~offsets ~targets ~weights)
       | 1 ->

@@ -2,19 +2,20 @@
 
     This is the OCaml counterpart of the [CAS]/[writeMin]/[fetch_add]
     primitives the paper's generated C++ uses on distance and degree arrays
-    (Figure 2 and Figure 9). Cells are [Atomic.t] values, so concurrent
-    updates from multiple domains are sequentially consistent. *)
+    (Figure 2 and Figure 9). The cells are one flat [int array], one word
+    per cell, read and updated through sequentially consistent C atomics,
+    so concurrent updates from multiple domains are sequentially
+    consistent, as with [int Atomic.t] cells, without a box per cell. *)
 
 type t
 
-(** [make n v] is an array of [n] cells, all holding [v]. The cells are
-    allocated back-to-back in index order, so sequential scans have array
-    locality despite the boxed representation. *)
+(** [make n v] is an array of [n] cells, all holding [v]: one
+    [Array.make] of [n] words. *)
 val make : int -> int -> t
 
 (** [make_padded n v] is {!make} with each cell on its own cache line. Use
     for small, contention-heavy counter arrays (per-worker [fetch_add]
-    slots), where packing 4 cells per line causes false sharing; never for
+    slots), where packing 8 cells per line causes false sharing; never for
     per-vertex vectors, where density is what matters. *)
 val make_padded : int -> int -> t
 

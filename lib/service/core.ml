@@ -528,14 +528,16 @@ let run_deadline members =
    [source]; each member resolves at a round boundary — exact once
    [finished_vertex] holds for its target, partial the moment its own
    deadline expires. [value_of] reads the member's current answer,
-   [done_ tgt] decides finalization. *)
-let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn =
+   [done_ tgt] decides finalization. [start] is stamped by the caller
+   before it builds the distance array and queue, so that set-up counts
+   as batch run time, not queue wait. *)
+let run_point_group t members ~start ~snapshot ~pq ~dist_ready ~value_json
+    ~edge_fn =
   let width = List.length members in
   let version = Handle.version snapshot in
   let batch_trace = next_trace t in
   Metrics.incr t.m_batches ~tid:0 ();
   Metrics.incr t.m_batched_queries ~tid:0 ~by:width ();
-  let start = Unix.gettimeofday () in
   List.iter
     (fun m -> Metrics.observe t.h_queue_wait (start -. m.enqueued_at))
     members;
@@ -605,12 +607,9 @@ let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn =
          ~schedule:t.config.Config.schedule ~pq ~edge_fn ~stop ~on_round
          ?deadline:(run_deadline members) ())
   in
-  let _, seconds =
-    Support.Timer.time (fun () ->
-        Span.with_ "service.batch" (fun () ->
-            with_batch_context t ~batch_trace members run))
-  in
-  Metrics.observe t.h_batch_run seconds;
+  Span.with_ "service.batch" (fun () ->
+      with_batch_context t ~batch_trace members run);
+  Metrics.observe t.h_batch_run (Unix.gettimeofday () -. start);
   (* Queue exhausted (or run-level deadline): whatever is left is final —
      for monotone queries the vector now holds the true values, or the
      best bounds the deadline allowed. *)
@@ -618,6 +617,7 @@ let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn =
 
 let run_sssp_group t ~source members =
   with_snapshot t (fun snapshot ->
+      let start = Unix.gettimeofday () in
       let dist = Atomic_array.make (Handle.num_vertices snapshot) null in
       Atomic_array.set dist source 0;
       let pq =
@@ -630,7 +630,7 @@ let run_sssp_group t ~source members =
         let new_dist = Atomic_array.get dist src + weight in
         Pq.update_priority_min pq ctx dst new_dist
       in
-      run_point_group t members ~snapshot ~pq ~edge_fn
+      run_point_group t members ~start ~snapshot ~pq ~edge_fn
         ~dist_ready:(fun tgt ->
           Atomic_array.get dist tgt <> null && Pq.finished_vertex pq tgt)
         ~value_json:(fun tgt ->
@@ -638,6 +638,7 @@ let run_sssp_group t ~source members =
 
 let run_widest_group t ~source members =
   with_snapshot t (fun snapshot ->
+      let start = Unix.gettimeofday () in
       let graph = Handle.csr snapshot in
       let n = Csr.num_vertices graph in
       let capacity = Atomic_array.make n 0 in
@@ -652,7 +653,7 @@ let run_widest_group t ~source members =
         let through = min (Atomic_array.get capacity src) weight in
         Pq.update_priority_max pq ctx dst through
       in
-      run_point_group t members ~snapshot ~pq ~edge_fn
+      run_point_group t members ~start ~snapshot ~pq ~edge_fn
         ~dist_ready:(fun tgt ->
           Atomic_array.get capacity tgt > 0 && Pq.finished_vertex pq tgt)
         ~value_json:(fun tgt ->

@@ -334,6 +334,67 @@ let qcheck_eager_global_order =
       let _, drained = drain min_int 0 in
       drained = List.length inserts)
 
+(* Bins are recycled once the cursor passes them, so interleaving
+   inserts with drains must neither lose nor duplicate a vertex: each
+   round inserts relative to the cursor (offsets below it clamp to it),
+   then one bucket is drained and compared with a model multiset. *)
+let qcheck_eager_recycled_bins_lose_nothing =
+  QCheck.Test.make ~name:"eager bins recycled across rounds lose nothing"
+    ~count:200
+    QCheck.(
+      list_of_size (Gen.int_range 0 40)
+        (list_of_size (Gen.int_range 0 8) (pair (int_bound 3) (int_range (-2) 6))))
+    (fun rounds ->
+      let eb = Eager_buckets.create ~num_workers:4 ~min_key:0 () in
+      let pending = ref [] and next_vertex = ref 0 in
+      let push batch =
+        let cursor = Eager_buckets.cursor_key eb in
+        List.iter
+          (fun (tid, offset) ->
+            let v = !next_vertex in
+            incr next_vertex;
+            Eager_buckets.insert eb ~tid ~vertex:v ~key:(cursor + offset);
+            pending := (cursor + max 0 offset, v) :: !pending)
+          batch
+      in
+      let drain_one () =
+        match Eager_buckets.next_global_key eb with
+        | None -> !pending = []
+        | Some key ->
+            let members = List.sort compare (Array.to_list (Eager_buckets.drain_global eb ~key)) in
+            let here, rest = List.partition (fun (k, _) -> k = key) !pending in
+            pending := rest;
+            List.for_all (fun (k, _) -> k > key) rest
+            && members = List.sort compare (List.map snd here)
+      in
+      let rec finish () =
+        match !pending with [] -> drain_one () | _ -> drain_one () && finish ()
+      in
+      List.for_all (fun batch -> push batch; drain_one ()) rounds && finish ())
+
+(* A Δ = 1 wBFS on the road grid walks ~90k buckets. Walking 10,000
+   consecutive single-vertex buckets reuses the bins the cursor passed,
+   so promoted words per bucket stay under 1; a fresh vector per key is
+   promoted at about 6 words. *)
+let test_eager_bins_reused () =
+  let buckets = 10_000 in
+  let eb = Eager_buckets.create ~num_workers:1 ~min_key:0 () in
+  Eager_buckets.insert eb ~tid:0 ~vertex:0 ~key:0;
+  Gc.minor ();
+  let _, promoted_before, _ = Gc.counters () in
+  for k = 0 to buckets - 1 do
+    if Eager_buckets.next_global_key eb <> Some k then
+      Alcotest.failf "bucket %d not next" k;
+    if Eager_buckets.drain_global eb ~key:k <> [| k |] then
+      Alcotest.failf "bucket %d does not hold exactly vertex %d" k k;
+    Eager_buckets.insert eb ~tid:0 ~vertex:(k + 1) ~key:(k + 1)
+  done;
+  Gc.minor ();
+  let _, promoted_after, _ = Gc.counters () in
+  let per_bucket = (promoted_after -. promoted_before) /. float_of_int buckets in
+  if per_bucket >= 1.0 then
+    Alcotest.failf "%.2f promoted words per bucket" per_bucket
+
 (* ------------------------------------------------------------------ *)
 
 let test_update_buffer_dedup () =
@@ -474,6 +535,9 @@ let () =
             test_eager_clamps_behind_cursor;
           Alcotest.test_case "negative keys" `Quick test_eager_negative_keys;
           QCheck_alcotest.to_alcotest qcheck_eager_global_order;
+          QCheck_alcotest.to_alcotest qcheck_eager_recycled_bins_lose_nothing;
+          Alcotest.test_case "bins reused across buckets" `Quick
+            test_eager_bins_reused;
         ] );
       ( "update_buffer",
         [ Alcotest.test_case "dedup and drain" `Quick test_update_buffer_dedup ] );

@@ -313,6 +313,93 @@ let test_reorder_preserves_sssp () =
         (Reorder.unapply_values r dist' = expected))
     [ Reorder.Degree; Reorder.Bfs ]
 
+(* Every CSR accessor agrees with the edge list sorted by (src, dst,
+   weight), the order [of_edge_list] stores: per-vertex iteration and
+   folds, the flat edge index, membership, the weight maximum and the
+   round trip back to an edge list. *)
+let qcheck_csr_accessors =
+  QCheck.Test.make ~name:"csr accessors agree with the sorted edge list"
+    ~count:100
+    QCheck.(pair (int_range 1 50) (int_bound 300))
+    (fun (n, m) ->
+      let rng = Rng.create (n + (m * 7919)) in
+      let edges =
+        Array.init m (fun _ ->
+            edge (Rng.int rng n) (Rng.int rng n) (1 + Rng.int rng 1000))
+      in
+      let g = Csr.of_edge_list { Edge_list.num_vertices = n; edges } in
+      let sorted = Array.copy edges in
+      Array.sort compare sorted;
+      let out u =
+        List.filter_map
+          (fun e -> if e.Edge_list.src = u then Some (e.dst, e.weight) else None)
+          (Array.to_list sorted)
+      in
+      let vertex_ok u =
+        let iterated = ref [] in
+        Csr.iter_out g u (fun v w -> iterated := (v, w) :: !iterated);
+        let folded = Csr.fold_out g u (fun acc v w -> (v, w) :: acc) [] in
+        let lo, hi = Csr.edge_range g u in
+        let indexed =
+          List.init (hi - lo) (fun i ->
+              (Csr.edge_target g (lo + i), Csr.edge_weight g (lo + i)))
+        in
+        let expected = out u in
+        List.rev !iterated = expected
+        && List.rev folded = expected
+        && indexed = expected
+        && List.for_all
+             (fun v -> Csr.mem_edge g u v = List.mem_assoc v expected)
+             (List.init n Fun.id)
+      in
+      Csr.num_edges g = m
+      && List.for_all vertex_ok (List.init n Fun.id)
+      && Csr.max_weight g
+         = Array.fold_left (fun acc e -> max acc e.Edge_list.weight) 0 edges
+      && (Csr.to_edge_list g).Edge_list.edges = sorted)
+
+(* [Delta.apply] builds the same graph as rebuilding from the edge list
+   edited by the same ops: inserts append, deletes drop every parallel
+   copy, reweights rewrite every parallel copy. *)
+let qcheck_delta_apply_is_rebuild =
+  QCheck.Test.make ~name:"Delta.apply = rebuild from the edited edge list"
+    ~count:100
+    QCheck.(triple (int_range 1 40) (int_bound 200) (int_bound 30))
+    (fun (n, m, ops) ->
+      let g = random_graph (n + (m * 31) + (ops * 7)) ~n ~m in
+      let rng = Rng.create (n * ops) in
+      let batch =
+        Array.init ops (fun _ ->
+            let src = Rng.int rng n and dst = Rng.int rng n in
+            let weight = 1 + Rng.int rng 50 in
+            match Rng.int rng 3 with
+            | 0 -> Graphs.Delta.Insert { src; dst; weight }
+            | 1 -> Graphs.Delta.Delete { src; dst }
+            | _ -> Graphs.Delta.Reweight { src; dst; weight })
+      in
+      let edit edges = function
+        | Graphs.Delta.Insert { src; dst; weight } -> edges @ [ edge src dst weight ]
+        | Graphs.Delta.Delete { src; dst } ->
+            List.filter
+              (fun e -> not (e.Edge_list.src = src && e.Edge_list.dst = dst))
+              edges
+        | Graphs.Delta.Reweight { src; dst; weight } ->
+            List.map
+              (fun e ->
+                if e.Edge_list.src = src && e.Edge_list.dst = dst then
+                  { e with Edge_list.weight }
+                else e)
+              edges
+      in
+      let edited =
+        Array.fold_left edit (Array.to_list (Csr.to_edge_list g).Edge_list.edges) batch
+      in
+      let rebuilt =
+        Csr.of_edge_list
+          { Edge_list.num_vertices = n; edges = Array.of_list edited }
+      in
+      Csr.to_edge_list (Graphs.Delta.apply g batch) = Csr.to_edge_list rebuilt)
+
 let with_temp_bin f =
   let path = Filename.temp_file "graphit_test" ".bin" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
@@ -332,7 +419,11 @@ let test_graph_bin_roundtrip () =
           Alcotest.(check bool)
             (Layout.kind_to_string kind ^ " round-trip")
             true
-            (Csr.to_edge_list (Layout.to_csr loaded) = Csr.to_edge_list g)))
+            (Csr.to_edge_list (Layout.to_csr loaded) = Csr.to_edge_list g);
+          Alcotest.(check bool)
+            (Layout.kind_to_string kind ^ " round-trip through load_csr")
+            true
+            (Csr.to_edge_list (Graph_bin.load_csr path) = Csr.to_edge_list g)))
     Layout.all_kinds
 
 let test_graph_bin_rejects_garbage () =
@@ -342,9 +433,12 @@ let test_graph_bin_rejects_garbage () =
       close_out oc;
       Alcotest.(check bool) "text is not GRAPHBIN" false
         (Graph_bin.is_graph_bin path);
-      match Graph_bin.load path with
+      (match Graph_bin.load path with
       | exception Failure _ -> ()
-      | _ -> Alcotest.fail "expected load to fail on a text file")
+      | _ -> Alcotest.fail "expected load to fail on a text file");
+      match Graph_bin.load_csr path with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.fail "expected load_csr to fail on a text file")
 
 let test_graph_bin_rejects_truncation () =
   let g = random_graph 78 ~n:40 ~m:200 in
@@ -356,9 +450,12 @@ let test_graph_bin_rejects_truncation () =
       close_out oc;
       (* The magic still matches — only the payload is short. *)
       Alcotest.(check bool) "magic intact" true (Graph_bin.is_graph_bin path);
-      match Graph_bin.load path with
+      (match Graph_bin.load path with
       | exception Failure _ -> ()
-      | _ -> Alcotest.fail "expected load to fail on a truncated file")
+      | _ -> Alcotest.fail "expected load to fail on a truncated file");
+      match Graph_bin.load_csr path with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.fail "expected load_csr to fail on a truncated file")
 
 (* A crafted file whose lengths all agree but whose structure is broken
    must fail with the loader's own error (message prefixed by the path),
@@ -430,6 +527,8 @@ let () =
           Alcotest.test_case "roundtrip/transpose" `Quick
             test_csr_roundtrip_and_transpose;
           QCheck_alcotest.to_alcotest qcheck_csr_degree_sum;
+          QCheck_alcotest.to_alcotest qcheck_csr_accessors;
+          QCheck_alcotest.to_alcotest qcheck_delta_apply_is_rebuild;
         ] );
       ( "generators",
         [

@@ -107,6 +107,86 @@ let test_atomic_fetch_min_max_no_alloc () =
   check "fetch_min" Atomic_array.fetch_min;
   check "fetch_max" Atomic_array.fetch_max
 
+(* Minor and major words [f] allocates, net of the measurement itself. *)
+let alloc_words f =
+  let measure f =
+    let minor0, _, major0 = Gc.counters () in
+    ignore (Sys.opaque_identity (f ()));
+    let minor1, _, major1 = Gc.counters () in
+    (minor1 -. minor0, major1 -. major0)
+  in
+  let base_minor, base_major = measure (fun () -> ()) in
+  let minor, major = measure f in
+  (minor -. base_minor, major -. base_major)
+
+(* The cells are one flat array: 100,000 of them are one [Array.make],
+   100,001 words straight onto the major heap, plus the constant-size
+   handle on the minor heap. Boxed [Atomic.t] cells cost about 200k
+   minor and 300k major words. The counters also pick up the GC's own
+   bookkeeping around a major allocation (about a hundred words, as for a
+   plain [Array.make]), so the check takes the quietest of five builds. *)
+let test_make_is_flat () =
+  let n = 100_000 in
+  let minor, major =
+    List.init 5 (fun _ -> alloc_words (fun () -> Atomic_array.make n 0))
+    |> List.fold_left
+         (fun (mi, ma) (mi', ma') -> (Float.min mi mi', Float.min ma ma'))
+         (infinity, infinity)
+  in
+  if minor > 256. then Alcotest.failf "make %d: %.0f minor words" n minor;
+  if major > 100_064. then Alcotest.failf "make %d: %.0f major words" n major
+
+(* A near point-to-point query on a fixed 200x200 road grid allocates
+   the n-word distance array plus work proportional to the edges it
+   relaxed, not a multiple of n: at most n + 2 words per relaxed edge +
+   4096 words, counting minor and major words once each. *)
+let test_near_ppsp_allocation () =
+  let side = 200 in
+  let el, _ =
+    Graphs.Generators.road_grid ~rng:(Support.Rng.create 7) ~rows:side
+      ~cols:side ()
+  in
+  let handle = Graphs.Handle.of_edge_list el in
+  let graph = Graphs.Handle.csr handle in
+  let n = Graphs.Csr.num_vertices graph in
+  let schedule =
+    { Ordered.Schedule.default with
+      strategy = Ordered.Schedule.Eager_with_fusion; delta = 1024 }
+  in
+  let source = (100 * side) + 100 in
+  Pool.with_pool ~num_workers:1 (fun pool ->
+      let run () =
+        Algorithms.Ppsp.run ~pool ~graph ~handle ~schedule ~source
+          ~target:(source + 3) ()
+      in
+      ignore (run ());
+      let minor0, promoted0, major0 = Gc.counters () in
+      let r = Sys.opaque_identity (run ()) in
+      let minor1, promoted1, major1 = Gc.counters () in
+      let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+      let edges = r.Algorithms.Ppsp.stats.Ordered.Stats.edges_relaxed in
+      let bound = float_of_int (n + (2 * edges) + 4096) in
+      if words > bound then
+        Alcotest.failf "near ppsp: %.0f words for n = %d and %d relaxed edges (bound %.0f)"
+          words n edges bound)
+
+(* Four domains hammer padded arrays small enough to be born on the
+   minor heap while forced minor collections promote, and so move, them
+   between CAS calls; the totals stay exact. *)
+let test_padded_stress_across_promotion () =
+  let updates = 40_000 in
+  let sums = Atomic_array.make_padded 4 0 in
+  let mins = Atomic_array.make_padded 4 max_int in
+  Pool.with_pool ~num_workers:4 (fun pool ->
+      Pool.parallel_for pool ~chunk:64 ~lo:0 ~hi:updates (fun i ->
+          ignore (Atomic_array.fetch_add sums (i land 3) 1);
+          ignore (Atomic_array.fetch_min mins (i land 3) (updates - i));
+          if i land 511 = 0 then Gc.minor ()));
+  Alcotest.(check (array int)) "fetch_add totals"
+    (Array.make 4 (updates / 4)) (Atomic_array.to_array sums);
+  Alcotest.(check (array int)) "fetch_min results" [| 4; 3; 2; 1 |]
+    (Atomic_array.to_array mins)
+
 let test_atomic_add_with_floor () =
   let a = Atomic_array.make 1 10 in
   (match Atomic_array.add_with_floor a 0 ~delta:(-3) ~floor:5 with
@@ -363,6 +443,11 @@ let () =
           Alcotest.test_case "concurrent fetch_add" `Quick
             test_atomic_concurrent_fetch_add;
           Alcotest.test_case "make_padded" `Quick test_make_padded;
+          Alcotest.test_case "make is one flat array" `Quick test_make_is_flat;
+          Alcotest.test_case "near ppsp allocates O(visited) + n" `Quick
+            test_near_ppsp_allocation;
+          Alcotest.test_case "padded stress across promotion" `Quick
+            test_padded_stress_across_promotion;
         ] );
       ( "update_buffer",
         [ QCheck_alcotest.to_alcotest qcheck_drain_to_array_matches_drain ] );
