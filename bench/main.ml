@@ -12,8 +12,10 @@
      dune exec bench/main.exe -- --workers 4  -- oversubscribed parallel run
      dune exec bench/main.exe -- --scale big  -- larger graphs
      dune exec bench/main.exe -- --smoke      -- tiny graphs, 1 trial
-     dune exec bench/main.exe -- --json f.json -- machine-readable dump
-     dune build @bench-smoke                  -- the same, as a dune alias *)
+     dune exec bench/main.exe -- --json f.json -- exact work counters
+
+   bench/dune pins the --json report of the --smoke and default scales
+   (`dune runtest`, `dune build @bench-counters`). *)
 
 module Pool = Parallel.Pool
 module Csr = Graphs.Csr
@@ -62,7 +64,7 @@ let usage sections =
   \  --scale big      larger graphs\n\
   \  --smoke          tiny graphs, one trial per measurement (CI-sized)\n\
   \  --repeats N      trials per measurement (default 3; 1 under --smoke)\n\
-  \  --json FILE      write the machine-readable report (bench_diff input)\n\
+  \  --json FILE      write the exact work counters (no timings) as JSON\n\
   \  --trace FILE     record a Perfetto timeline of the whole run\n\
   \  --layout KIND    plain|compressed storage for the engine drivers\n\
   \  --reorder KIND   none|degree|bfs|hilbert vertex relabeling for the suite\n\
@@ -75,6 +77,14 @@ let usage sections =
    a run that silently measures something else. *)
 let parse_args sections =
   let only = ref None in
+  let positive flag s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> n
+    | _ ->
+        Printf.eprintf "%s takes a positive integer, not %S\n\n%s" flag s
+          (usage sections);
+        exit 2
+  in
   let rec parse = function
     | [] -> ()
     | "--help" :: _ ->
@@ -84,7 +94,7 @@ let parse_args sections =
         only := Some id;
         parse rest
     | "--workers" :: n :: rest ->
-        workers := int_of_string n;
+        workers := positive "--workers" n;
         parse rest
     | "--scale" :: "big" :: rest ->
         big := true;
@@ -101,7 +111,7 @@ let parse_args sections =
         trace_out := Some file;
         parse rest
     | "--repeats" :: n :: rest ->
-        repeats := int_of_string n;
+        repeats := positive "--repeats" n;
         parse rest
     | "--layout" :: kind :: rest ->
         (* Storage substrate for the GraphIt engine drivers: the handles
@@ -133,8 +143,7 @@ let section id title f =
   Printf.printf "\n================================================================\n";
   Printf.printf "[%s] %s\n" id title;
   Printf.printf "================================================================\n";
-  let (), seconds = Timer.time f in
-  Report.add_duration id seconds;
+  f ();
   flush stdout
 
 let effective_repeats () =
@@ -485,15 +494,7 @@ let fig1 () =
         let unordered = driver `Unordered w in
         Printf.printf "%-5s %-5s %-22s %12.3f %12.3f %8.1fx\n" alg w.wname
           ("(" ^ w.paper_analog ^ ")")
-          ordered unordered (unordered /. ordered);
-        Report.row "fig1"
-          [
-            ("algorithm", Json.String alg);
-            ("graph", Json.String w.wname);
-            ("ordered_seconds", Json.Float ordered);
-            ("unordered_seconds", Json.Float unordered);
-            ("speedup", Json.Float (unordered /. ordered));
-          ])
+          ordered unordered (unordered /. ordered))
       (Lazy.force suite)
   in
   run "SSSP" sssp_time;
@@ -568,23 +569,6 @@ let tab4 () =
             per_graph;
           print_newline ())
         frameworks)
-    (tab4_data ());
-  List.iter
-    (fun (alg_name, per_graph) ->
-      List.iter
-        (fun (graph, cells) ->
-          List.iter
-            (fun (fw, t) ->
-              Report.row "tab4"
-                [
-                  ("algorithm", Json.String alg_name);
-                  ("graph", Json.String graph);
-                  ("framework", Json.String fw);
-                  (* nan (unsupported combination) serializes as null *)
-                  ("seconds", Json.Float t);
-                ])
-            cells)
-        per_graph)
     (tab4_data ())
 
 let fig4 () =
@@ -677,13 +661,7 @@ let tab5 () =
               0 ml_files
           in
           Printf.printf "%-10s %18d %26d %7.1fx\n" name dsl ml
-            (float_of_int ml /. float_of_int (max 1 dsl));
-          Report.row "tab5"
-            [
-              ("algorithm", Json.String name);
-              ("dsl_loc", Json.Int dsl);
-              ("ocaml_loc", Json.Int ml);
-            ])
+            (float_of_int ml /. float_of_int (max 1 dsl)))
     rows
 
 let tab6 () =
@@ -728,17 +706,12 @@ let tab6 () =
         (float_of_int unfused.stats.Stats.rounds
         /. float_of_int (max 1 fused.stats.Stats.rounds))
         (sync_per_round fused) (sync_per_round unfused);
-      let variant name seconds (r : Algorithms.Sssp_delta.result) =
-        ( name,
-          Json.Obj
-            [ ("seconds", Json.Float seconds); ("stats", Stats.to_json r.stats) ] )
-      in
       Report.row "tab6"
         [
           ("graph", Json.String w.wname);
           ("delta", Json.Int w.fusion_delta);
-          variant "with_fusion" fused_s fused;
-          variant "without_fusion" unfused_s unfused;
+          ("with_fusion", Stats.to_json fused.stats);
+          ("without_fusion", Stats.to_json unfused.stats);
           ( "round_reduction",
             Json.Float
               (float_of_int unfused.stats.Stats.rounds
@@ -786,15 +759,7 @@ let tab7 () =
                  ~source:0 ()))
       in
       Printf.printf "%-10s | %13.3f %17.3f | %13.3f %17.3f\n" w.wname kcore_eager
-        kcore_lazy sssp_eager sssp_lazy;
-      Report.row "tab7"
-        [
-          ("graph", Json.String w.wname);
-          ("kcore_eager_seconds", Json.Float kcore_eager);
-          ("kcore_lazy_seconds", Json.Float kcore_lazy);
-          ("sssp_eager_seconds", Json.Float sssp_eager);
-          ("sssp_lazy_seconds", Json.Float sssp_lazy);
-        ])
+        kcore_lazy sssp_eager sssp_lazy)
     (Lazy.force suite)
 
 let fig11 () =
@@ -822,21 +787,22 @@ let fig11 () =
                     Algorithms.Sssp_delta.run ~pool:p ~graph:w.directed
                       ~schedule:(graphit_schedule w) ~source:0 ())
               in
-              let fig11_row fw seconds rounds edges =
-                Report.row "fig11"
-                  [
-                    ("graph", Json.String w.wname);
-                    ("framework", Json.String fw);
-                    ("workers", Json.Int nw);
-                    ("seconds", Json.Float seconds);
-                    ("rounds", Json.Int rounds);
-                    ( "edges_relaxed",
-                      match edges with Some e -> Json.Int e | None -> Json.Null );
-                  ]
+              (* Only 1-worker rows are reported: with more workers the
+                 edge counts vary slightly from run to run. *)
+              let fig11_row fw rounds edges =
+                if nw = 1 then
+                  Report.row "fig11"
+                    [
+                      ("graph", Json.String w.wname);
+                      ("framework", Json.String fw);
+                      ("rounds", Json.Int rounds);
+                      ( "edges_relaxed",
+                        match edges with Some e -> Json.Int e | None -> Json.Null );
+                    ]
               in
               Printf.printf "%-10s %8d %10.3f %10d %12d\n" "graphit" nw gs
                 graphit.stats.Stats.rounds graphit.stats.Stats.edges_relaxed;
-              fig11_row "graphit" gs graphit.stats.Stats.rounds
+              fig11_row "graphit" graphit.stats.Stats.rounds
                 (Some graphit.stats.Stats.edges_relaxed);
               let gapbs, bs =
                 time (fun () ->
@@ -846,7 +812,7 @@ let fig11 () =
               Printf.printf "%-10s %8d %10.3f %10d %12d\n" "gapbs" nw bs
                 gapbs.Algorithms.Sssp_delta.stats.Stats.rounds
                 gapbs.Algorithms.Sssp_delta.stats.Stats.edges_relaxed;
-              fig11_row "gapbs" bs gapbs.Algorithms.Sssp_delta.stats.Stats.rounds
+              fig11_row "gapbs" gapbs.Algorithms.Sssp_delta.stats.Stats.rounds
                 (Some gapbs.Algorithms.Sssp_delta.stats.Stats.edges_relaxed);
               let julienne, js =
                 time (fun () ->
@@ -855,8 +821,7 @@ let fig11 () =
               in
               Printf.printf "%-10s %8d %10.3f %10d %12s\n" "julienne" nw js
                 julienne.Baselines.Julienne_like.rounds "-";
-              fig11_row "julienne" js julienne.Baselines.Julienne_like.rounds
-                None))
+              fig11_row "julienne" julienne.Baselines.Julienne_like.rounds None))
         worker_counts;
       print_newline ())
     graphs
@@ -894,18 +859,7 @@ let delta_sweep () =
       List.iter
         (fun (d, s) -> Printf.printf " %7.3f%s" s (if d = best_delta then "*" else " "))
         results;
-      Printf.printf " %8d\n" best_delta;
-      Report.row "delta"
-        [
-          ("graph", Json.String w.wname);
-          ("best_delta", Json.Int best_delta);
-          ( "sweep",
-            Json.List
-              (List.map
-                 (fun (d, s) ->
-                   Json.Obj [ ("delta", Json.Int d); ("seconds", Json.Float s) ])
-                 results) );
-        ])
+      Printf.printf " %8d\n" best_delta)
     (Lazy.force suite)
 
 let traverse_bench () =
@@ -941,10 +895,7 @@ let traverse_bench () =
             [
               ("graph", Json.String w.wname);
               ("direction", Json.String label);
-              ("seconds", Json.Float seconds);
-              ("rounds", Json.Int r.Algorithms.Sssp_delta.stats.Stats.rounds);
-              ( "pull_rounds",
-                Json.Int r.Algorithms.Sssp_delta.stats.Stats.pull_rounds );
+              ("stats", Stats.to_json r.Algorithms.Sssp_delta.stats);
             ])
         [ Schedule.Sparse_push; Schedule.Dense_pull; Schedule.Hybrid ])
     (List.filter
@@ -1002,14 +953,7 @@ let traverse_bench () =
                       ("direction", Json.String "hybrid");
                       ("layout", Json.String layout_s);
                       ("reorder", Json.String reorder_s);
-                      ("seconds", Json.Float st.Timer.median);
-                      ("min_seconds", Json.Float st.Timer.min);
-                      ("max_seconds", Json.Float st.Timer.max);
-                      ( "rounds",
-                        Json.Int res.Algorithms.Sssp_delta.stats.Stats.rounds );
-                      ( "pull_rounds",
-                        Json.Int
-                          res.Algorithms.Sssp_delta.stats.Stats.pull_rounds );
+                      ("stats", Stats.to_json res.Algorithms.Sssp_delta.stats);
                     ])
                 [ Layout.Plain; Layout.Compressed ])
         reorder_kinds)
@@ -1051,14 +995,6 @@ let graphbin_bench () =
     assert (Csr.num_edges g = Csr.num_edges w.directed);
     Printf.printf "%-14s %10.4f s (min %.4f, max %.4f)\n" label
       st.Timer.median st.Timer.min st.Timer.max;
-    Report.row "graphbin"
-      [
-        ("format", Json.String label);
-        ("file_kb", Json.Int (file_kb path));
-        ("seconds", Json.Float st.Timer.median);
-        ("min_seconds", Json.Float st.Timer.min);
-        ("max_seconds", Json.Float st.Timer.max);
-      ];
     st.Timer.median
   in
   let text_s =
@@ -1076,22 +1012,10 @@ let graphbin_bench () =
       let g = Graph_bin.load_csr path in
       let _, st = time_stats (fun () -> Csr.validate g) in
       Printf.printf "%-14s %10.4f s (%.0f%% of its load)\n" label st.Timer.median
-        (100. *. st.Timer.median /. load_s);
-      Report.row "graphbin"
-        [
-          ("format", Json.String label);
-          ("seconds", Json.Float st.Timer.median);
-          ("share_of_load", Json.Float (st.Timer.median /. load_s));
-        ])
+        (100. *. st.Timer.median /. load_s))
     [ ("chk-plain", bin, bin_s); ("chk-compressed", bin_c, binc_s) ];
   Printf.printf "\nspeedup over text parse: plain %.1fx, compressed %.1fx\n"
-    (text_s /. bin_s) (text_s /. binc_s);
-  Report.row "graphbin"
-    [
-      ("format", Json.String "speedup");
-      ("plain_speedup", Json.Float (text_s /. bin_s));
-      ("compressed_speedup", Json.Float (text_s /. binc_s));
-    ]
+    (text_s /. bin_s) (text_s /. binc_s)
 
 let autotune_bench () =
   Printf.printf
@@ -1121,19 +1045,7 @@ let autotune_bench () =
         (List.length result.Autotune.Tuner.trials)
         (Schedule.strategy_to_string best.Autotune.Tuner.schedule.Schedule.strategy)
         best.Autotune.Tuner.schedule.Schedule.delta
-        (100.0 *. ((best.Autotune.Tuner.seconds -. hand) /. hand));
-      Report.row "autotune"
-        [
-          ("graph", Json.String w.wname);
-          ("hand_tuned_seconds", Json.Float hand);
-          ("autotuned_seconds", Json.Float best.Autotune.Tuner.seconds);
-          ("trials", Json.Int (List.length result.Autotune.Tuner.trials));
-          ( "strategy",
-            Json.String
-              (Schedule.strategy_to_string
-                 best.Autotune.Tuner.schedule.Schedule.strategy) );
-          ("delta", Json.Int best.Autotune.Tuner.schedule.Schedule.delta);
-        ])
+        (100.0 *. ((best.Autotune.Tuner.seconds -. hand) /. hand)))
     (Lazy.force suite)
 
 let ablation () =
@@ -1163,9 +1075,7 @@ let ablation () =
           ("knob", Json.String "fusion_threshold");
           ("graph", Json.String road.wname);
           ("value", Json.Int fusion_threshold);
-          ("seconds", Json.Float seconds);
-          ("rounds", Json.Int r.stats.Stats.rounds);
-          ("fused_drains", Json.Int r.stats.Stats.fused_drains);
+          ("stats", Stats.to_json r.stats);
         ])
     [ 1; 10; 100; 1000; 10000 ];
   Printf.printf
@@ -1173,7 +1083,7 @@ let ablation () =
   Printf.printf "%-12s %10s\n" "num_buckets" "time(s)";
   List.iter
     (fun num_open_buckets ->
-      let _, seconds =
+      let r, seconds =
         time (fun () ->
             Algorithms.Kcore.run ~pool:p ~graph:social.symmetric
               ~schedule:
@@ -1190,7 +1100,7 @@ let ablation () =
           ("knob", Json.String "num_open_buckets");
           ("graph", Json.String social.wname);
           ("value", Json.Int num_open_buckets);
-          ("seconds", Json.Float seconds);
+          ("stats", Stats.to_json r.Algorithms.Kcore.stats);
         ])
     [ 2; 8; 32; 128; 512; 2048 ];
   Printf.printf
@@ -1211,8 +1121,7 @@ let ablation () =
           ("knob", Json.String "widest_path_delta");
           ("graph", Json.String road.wname);
           ("value", Json.Int delta);
-          ("seconds", Json.Float seconds);
-          ("rounds", Json.Int r.stats.Stats.rounds);
+          ("stats", Stats.to_json r.stats);
         ])
     [ 1; 8; 64; 512 ]
 
@@ -1293,15 +1202,7 @@ let dsl_overhead () =
                   in
                   let dsl_exec = Float.max 0.0 (dsl -. load) in
                   Printf.printf "%-10s %12.3f %12.3f %12.3f %9.1fx\n" w.wname native
-                    dsl dsl_exec (dsl_exec /. native);
-                  Report.row "dslperf"
-                    [
-                      ("graph", Json.String w.wname);
-                      ("native_seconds", Json.Float native);
-                      ("dsl_seconds", Json.Float dsl);
-                      ("dsl_exec_seconds", Json.Float dsl_exec);
-                      ("overhead", Json.Float (dsl_exec /. native));
-                    ]))
+                    dsl dsl_exec (dsl_exec /. native)))
             (Lazy.force suite))
 
 let micro () =
@@ -1361,10 +1262,7 @@ let micro () =
   Hashtbl.iter
     (fun name fit ->
       match Analyze.OLS.estimates fit with
-      | Some (ns :: _) ->
-          Printf.printf "  %-42s %12.1f ns/run\n" name ns;
-          Report.row "micro"
-            [ ("name", Json.String name); ("ns_per_run", Json.Float ns) ]
+      | Some (ns :: _) -> Printf.printf "  %-42s %12.1f ns/run\n" name ns
       | _ -> Printf.printf "  %-42s (no estimate)\n" name)
     results
 
@@ -1404,14 +1302,7 @@ let runtime () =
         let p = Pool.create ~spin_budget:0 ~num_workers:nw () in
         Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> measure p)
       in
-      Printf.printf "%8d %14.2f %14.2f %8.1fx\n" nw spin condvar (condvar /. spin);
-      Report.row "runtime"
-        [
-          ("benchmark", Json.String "barrier_round_trip");
-          ("workers", Json.Int nw);
-          ("spin_us", Json.Float spin);
-          ("condvar_us", Json.Float condvar);
-        ])
+      Printf.printf "%8d %14.2f %14.2f %8.1fx\n" nw spin condvar (condvar /. spin))
     worker_counts;
   (* -- element closure vs range chunks: summing an array -- *)
   let n = if !smoke then 200_000 else 2_000_000 in
@@ -1577,9 +1468,6 @@ let service_bench () =
       ("experiment", Json.String "ppsp_batching");
       ("graph", Json.String w.wname);
       ("queries", Json.Int num_queries);
-      ("unbatched_seconds", Json.Float solo.Timer.median);
-      ("batched_seconds", Json.Float batched.Timer.median);
-      ("throughput_gain", Json.Float (solo.Timer.median /. batched.Timer.median));
     ];
   (* ALT: same A* query cold (h = 0, i.e. plain ppsp ordering) and with
      the warmed landmark bounds, on the road workload where the corridor
@@ -1639,12 +1527,8 @@ let service_bench () =
       ("experiment", Json.String "astar_alt");
       ("graph", Json.String w.wname);
       ("landmarks", Json.Int landmarks);
-      ("warm_cost_seconds", Json.Float warm_seconds);
-      ("cold_seconds", Json.Float cold.Timer.median);
-      ("warm_seconds", Json.Float warm.Timer.median);
       ("cold_edges_relaxed", Json.Int (edges r_cold));
       ("warm_edges_relaxed", Json.Int (edges r_warm));
-      ("speedup", Json.Float (cold.Timer.median /. warm.Timer.median));
       ("distance", Json.Int r_cold.Algorithms.Astar.distance);
     ]
 
@@ -1734,8 +1618,6 @@ let dynamic_bench () =
       ("graph", Json.String w.wname);
       ("batches", Json.Int num_batches);
       ("ops_per_batch", Json.Int ops_per_batch);
-      ("seconds", Json.Float commit_seconds);
-      ("ops_per_second", Json.Float ops_s);
     ];
   (* -- compaction pause: the log built above is rebuilt into a fresh
      hot base; this is the stall a background compactor hides -- *)
@@ -1748,7 +1630,6 @@ let dynamic_bench () =
       ("experiment", Json.String "compaction_pause");
       ("graph", Json.String w.wname);
       ("commits_folded", Json.Int num_batches);
-      ("seconds", Json.Float pause);
     ];
   (* -- incremental repair vs from-scratch, against affected-set size:
      small batches repair a corridor; ever-larger batches converge on
@@ -1795,9 +1676,6 @@ let dynamic_bench () =
           ("graph", Json.String w.wname);
           ("ops", Json.Int ops);
           ("affected", Json.Int !affected);
-          ("incremental_seconds", Json.Float inc.Timer.median);
-          ("full_seconds", Json.Float full.Timer.median);
-          ("speedup", Json.Float speedup);
           ("fell_back", Json.Bool !fell_back);
         ])
     sizes
@@ -1865,12 +1743,10 @@ let () =
   Report.write
     ~meta:
       (Json.Obj
-         (Report.provenance ()
-         @ [
+         [
            ("workers", Json.Int !workers);
            ("scale", Json.String (if !big then "big" else "default"));
            ("smoke", Json.Bool !smoke);
-           ("repeats", Json.Int (effective_repeats ()));
            ("layout", Json.String (Layout.kind_to_string !bench_layout));
            ("reorder", Json.String (Reorder.kind_to_string !bench_reorder));
            ( "suite",
@@ -1885,5 +1761,5 @@ let () =
                         ("num_edges", Json.Int (Csr.num_edges wl.directed));
                       ])
                   (Lazy.force suite)) );
-         ]));
+         ]);
   Pool.shutdown (Lazy.force pool)

@@ -1,8 +1,9 @@
 (* Machine-readable export for the benchmark harness: sections register
-   JSON rows as they run, and [write] dumps one object per run. The schema
-   is documented in docs/OBSERVABILITY.md; EXPERIMENTS.md is regenerated
-   from the human-readable tables, the JSON feeds dashboards and CI
-   artifact diffing. *)
+   JSON rows as they run, and [write] dumps one object per run. The report
+   holds only exact work counters, which are identical from run to run at
+   one worker, so bench/dune pins it byte for byte against the committed
+   bench/counters*.json; timings appear only in the printed tables. The
+   schema is documented in docs/OBSERVABILITY.md §5. *)
 
 module Json = Support.Json
 
@@ -18,19 +19,15 @@ let enabled () = !path <> None
 let add section row = if enabled () then rows := (section, row) :: !rows
 let row section fields = add section (Json.Obj fields)
 
-(* Wall-clock of each executed section, recorded by the [section] runner so
-   every section appears in the dump even when it registers no data rows. *)
-let durations : (string * float) list ref = ref [] (* newest first *)
-let add_duration id seconds = if enabled () then durations := (id, seconds) :: !durations
-
 (* Group rows by section, preserving both section order and row order of
    first appearance. *)
 let sections () =
   let ordered = List.rev !rows in
-  let ids = ref [] in
-  List.iter
-    (fun (id, _) -> if not (List.mem id !ids) then ids := id :: !ids)
-    ordered;
+  let ids =
+    List.fold_left
+      (fun ids (id, _) -> if List.mem id ids then ids else id :: ids)
+      [] ordered
+  in
   List.rev_map
     (fun id ->
       ( id,
@@ -38,82 +35,13 @@ let sections () =
           (List.filter_map
              (fun (id', r) -> if id' = id then Some r else None)
              ordered) ))
-    !ids
-  |> List.rev
-
-(* ------------------------------------------------------------------ *)
-(* Provenance: where was this report produced? bench_diff refuses to
-   compare timings across machines/configurations unless forced, so the
-   meta block must carry enough identity to detect the mismatch. *)
-
-let hostname () = try Unix.gethostname () with _ -> "unknown"
-
-(* Resolve HEAD by reading the git files directly — no subprocess, and
-   a graceful "unknown" outside a work tree (e.g. a release tarball). *)
-let git_commit () =
-  let read_first_line path =
-    try
-      In_channel.with_open_text path (fun ic ->
-          match In_channel.input_line ic with Some l -> Some (String.trim l) | None -> None)
-    with Sys_error _ -> None
-  in
-  let looks_like_hash s =
-    String.length s >= 7
-    && String.for_all
-         (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-         s
-  in
-  let from_packed_refs refname =
-    try
-      In_channel.with_open_text ".git/packed-refs" (fun ic ->
-          let rec scan () =
-            match In_channel.input_line ic with
-            | None -> None
-            | Some line ->
-                let line = String.trim line in
-                if
-                  String.length line > 41
-                  && String.sub line 41 (String.length line - 41) = refname
-                then Some (String.sub line 0 40)
-                else scan ()
-          in
-          scan ())
-    with Sys_error _ -> None
-  in
-  match read_first_line ".git/HEAD" with
-  | Some head when looks_like_hash head -> head (* detached HEAD *)
-  | Some head
-    when String.length head > 5 && String.sub head 0 5 = "ref: " -> (
-      let refname = String.trim (String.sub head 5 (String.length head - 5)) in
-      match read_first_line (".git/" ^ refname) with
-      | Some hash when looks_like_hash hash -> hash
-      | _ -> (
-          match from_packed_refs refname with
-          | Some hash -> hash
-          | None -> "unknown"))
-  | _ -> "unknown"
-
-let provenance () =
-  [
-    ("git_commit", Json.String (git_commit ()));
-    ("hostname", Json.String (hostname ()));
-    ("ocaml_version", Json.String Sys.ocaml_version);
-  ]
+    ids
 
 let write ~meta =
   match !path with
   | None -> ()
   | Some file ->
-      let doc =
-        Json.Obj
-          [
-            ("meta", meta);
-            ( "section_seconds",
-              Json.Obj
-                (List.rev_map (fun (id, s) -> (id, Json.Float s)) !durations) );
-            ("sections", Json.Obj (sections ()));
-          ]
-      in
+      let doc = Json.Obj [ ("meta", meta); ("sections", Json.Obj (sections ())) ] in
       let oc = open_out file in
       Fun.protect
         ~finally:(fun () -> close_out oc)

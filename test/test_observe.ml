@@ -2,9 +2,7 @@ module Json = Support.Json
 module Metrics = Observe.Metrics
 module Span = Observe.Span
 module Tracer = Observe.Tracer
-module Report_diff = Observe.Report_diff
 module Log = Observe.Log
-module Timeline = Observe.Timeline
 module Pool = Parallel.Pool
 module Csr = Graphs.Csr
 module Schedule = Ordered.Schedule
@@ -209,84 +207,6 @@ let test_log_level_of_string () =
     (Log.level_of_string "warning");
   Alcotest.(check (option level_testable)) "unknown" None
     (Log.level_of_string "loud")
-
-(* ------------------------------------------------------------------ *)
-(* Timeline: the bench trajectory recorder                              *)
-
-let tl_point ?(host = "vm") label sections =
-  { Timeline.label; git_commit = label ^ "0000000"; hostname = host; sections }
-
-(* The synthetic regression fixture: two flat points then a +49% step in
-   [sssp]; [tiny] steps too but sits under the floor on both sides. *)
-let test_timeline_regression () =
-  let p label v =
-    tl_point label [ ("sssp", v); ("tiny", v /. 1000.) ]
-  in
-  let r = Timeline.analyze [ p "a" 1.0; p "b" 1.02; p "c" 1.5 ] in
-  Alcotest.(check int) "one regression" 1 r.Timeline.regressions;
-  let row = List.find (fun row -> row.Timeline.section = "sssp") r.Timeline.rows in
-  Alcotest.(check bool) "sssp flagged" true row.Timeline.regressed;
-  (match row.Timeline.last_rel with
-  | Some rel ->
-      Alcotest.(check bool) "delta is vs the prior median" true
-        (Float.abs (rel -. ((1.5 -. 1.01) /. 1.01)) < 1e-9)
-  | None -> Alcotest.fail "no last_rel on the regressed row");
-  Alcotest.(check bool) "series stats cover the step" true
-    (row.Timeline.vmin = 1.0 && row.Timeline.vmax = 1.5
-   && row.Timeline.stddev > 0.);
-  let tiny = List.find (fun row -> row.Timeline.section = "tiny") r.Timeline.rows in
-  Alcotest.(check bool) "floor suppresses sub-floor noise" true
-    (tiny.Timeline.last_rel = None && not tiny.Timeline.regressed);
-  let improved = Timeline.analyze [ p "a" 1.5; p "b" 1.5; p "c" 1.0 ] in
-  Alcotest.(check int) "an improvement never gates" 0
-    improved.Timeline.regressions;
-  Alcotest.(check bool) "but is flagged as improved" true
-    (List.exists (fun row -> row.Timeline.improved) improved.Timeline.rows)
-
-let test_timeline_foreign_host () =
-  let points =
-    [
-      tl_point "a" [ ("sssp", 1.0) ];
-      tl_point "b" [ ("sssp", 1.0) ];
-      tl_point ~host:"laptop" "c" [ ("sssp", 9.0) ];
-    ]
-  in
-  let r = Timeline.analyze points in
-  Alcotest.(check bool) "foreign point excluded from gating" false
-    r.Timeline.gated.(2);
-  Alcotest.(check int) "no regression from a foreign host" 0
-    r.Timeline.regressions;
-  let forced = Timeline.analyze ~gate_foreign:true points in
-  Alcotest.(check int) "gate_foreign flags it" 1 forced.Timeline.regressions
-
-let test_timeline_parse_trajectory () =
-  let doc =
-    {|[{"meta": {"git_commit": "aaa", "hostname": "vm"},
-       "section_seconds": {"sssp": 1.0}},
-      {"meta": {"git_commit": "bbb", "hostname": "vm"},
-       "section_seconds": {"sssp": 1.1, "astar": 0.5}}]|}
-  in
-  match Timeline.points_of_string ~label:"traj.json" doc with
-  | Error e -> Alcotest.fail e
-  | Ok ([ a; b ] as points) ->
-      Alcotest.(check string) "trajectory entries get indexed labels"
-        "traj.json[0]" a.Timeline.label;
-      Alcotest.(check string) "commit from meta" "bbb" b.Timeline.git_commit;
-      let r = Timeline.analyze points in
-      Alcotest.(check int) "sections union across points" 2
-        (List.length r.Timeline.rows);
-      let astar =
-        List.find (fun row -> row.Timeline.section = "astar") r.Timeline.rows
-      in
-      Alcotest.(check bool) "absent value is None" true
-        (astar.Timeline.values.(0) = None);
-      (* Exercise both exporters for shape, not content. *)
-      (match Json.of_string (Json.to_string (Timeline.to_json r)) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail ("to_json does not parse: " ^ e));
-      Alcotest.(check bool) "pp renders the foreign-host marker set" true
-        (String.length (Format.asprintf "%a" Timeline.pp r) > 0)
-  | Ok l -> Alcotest.failf "expected 2 points, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                                *)
@@ -762,66 +682,6 @@ let test_tracer_async_and_context () =
             (ctx_of outside)
       | l -> Alcotest.failf "expected 2 work slices, got %d" (List.length l))
 
-(* ------------------------------------------------------------------ *)
-(* Report_diff: the bench regression gate                               *)
-
-let read_json path =
-  let contents =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Json.of_string contents with
-  | Ok v -> v
-  | Error e -> Alcotest.fail (path ^ ": " ^ e)
-
-let test_report_diff_golden () =
-  let old_ = read_json "golden/bench_diff_old.json" in
-  let new_ = read_json "golden/bench_diff_new.json" in
-  Alcotest.(check int) "git_commit alone never mismatches" 0
-    (List.length (Report_diff.provenance_mismatches ~old_ ~new_));
-  let d = Report_diff.compare_reports ~old_ ~new_ () in
-  Alcotest.(check int) "regressions" 2 d.Report_diff.regressions;
-  (* The exact delta table is pinned under test/golden/; regenerate with
-       dune exec bin/bench_diff.exe -- test/golden/bench_diff_old.json \
-         test/golden/bench_diff_new.json | tail -n +3 \
-         > test/golden/bench_diff_table.txt
-     after inspecting the change. *)
-  let expected =
-    let ic = open_in "golden/bench_diff_table.txt" in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Alcotest.(check string) "delta table" expected
-    (Format.asprintf "%a" Report_diff.pp d)
-
-let test_report_diff_identical () =
-  let old_ = read_json "golden/bench_diff_old.json" in
-  let d = Report_diff.compare_reports ~old_ ~new_:old_ () in
-  Alcotest.(check int) "no regressions against itself" 0 d.Report_diff.regressions;
-  Alcotest.(check bool) "all deltas zero" true
-    (List.for_all (fun c -> c.Report_diff.delta_pct = 0.0) d.Report_diff.cells);
-  Alcotest.(check (list string)) "no warnings" [] d.Report_diff.warnings
-
-let test_report_diff_provenance () =
-  let old_ = read_json "golden/bench_diff_old.json" in
-  let other =
-    Json.Obj
-      [
-        ( "meta",
-          Json.Obj
-            [
-              ("hostname", Json.String "elsewhere"); ("workers", Json.Int 4);
-            ] );
-      ]
-  in
-  match Report_diff.provenance_mismatches ~old_ ~new_:other with
-  | [ ("hostname", "ci-runner", "elsewhere"); ("workers", "1", "4") ] -> ()
-  | other ->
-      Alcotest.failf "unexpected mismatch list (%d entries)" (List.length other)
-
 let () =
   Alcotest.run "observe"
     [
@@ -841,15 +701,6 @@ let () =
           Alcotest.test_case "warn flushes immediately" `Quick
             test_log_warn_flushes_immediately;
           Alcotest.test_case "level_of_string" `Quick test_log_level_of_string;
-        ] );
-      ( "timeline",
-        [
-          Alcotest.test_case "regression fixture" `Quick
-            test_timeline_regression;
-          Alcotest.test_case "foreign host gating" `Quick
-            test_timeline_foreign_host;
-          Alcotest.test_case "trajectory parsing" `Quick
-            test_timeline_parse_trajectory;
         ] );
       ( "span",
         [
@@ -885,13 +736,5 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_tracer_wraparound;
           QCheck_alcotest.to_alcotest qcheck_tracer_balanced;
           QCheck_alcotest.to_alcotest qcheck_tracer_roundtrip;
-        ] );
-      ( "report_diff",
-        [
-          Alcotest.test_case "golden delta table" `Quick test_report_diff_golden;
-          Alcotest.test_case "identical reports" `Quick
-            test_report_diff_identical;
-          Alcotest.test_case "provenance mismatch" `Quick
-            test_report_diff_provenance;
         ] );
     ]
