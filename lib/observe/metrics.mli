@@ -113,5 +113,6 @@ val pp : ?times:bool -> Format.formatter -> snapshot -> unit
       "histograms": {name: {"count": .., "total_ns": .., "min_ns": ..,
                             "max_ns": .., "buckets": [[exp, count], ...]},
                      ...}}]
-    — the [metrics] object of the bench [--json] schema. *)
+    — the [metrics] object of the service's [stats] reply and the file
+    [ordered_serve --metrics-out] writes. *)
 val to_json : snapshot -> Support.Json.t

@@ -563,7 +563,11 @@ let run_point_group t members ~start ~snapshot ~pq ~dist_ready ~value_json
       ~queue_wait_ms:((start -. m.enqueued_at) *. 1000.)
       ~alt_assisted:false ~version
   in
-  let resolve ~final =
+  (* [final]: the engine drained its queue, so every value is exact.
+     [cut]: the run-level deadline stopped the engine, so every value
+     that is not already settled is a bound. A cut run has a deadline,
+     which only happens when every member has one. *)
+  let resolve ~final ~cut =
     pending :=
       List.filter
         (fun (m, tgt) ->
@@ -586,7 +590,7 @@ let run_point_group t members ~start ~snapshot ~pq ~dist_ready ~value_json
           end
           else
             match m.deadline with
-            | Some dl when Deadline.expired dl ->
+            | Some dl when cut || Deadline.expired dl ->
                 Metrics.incr t.m_deadline_miss ~tid:0 ();
                 answer m
                   (Protocol.partial
@@ -598,22 +602,27 @@ let run_point_group t members ~start ~snapshot ~pq ~dist_ready ~value_json
   in
   let stop () =
     incr rounds;
-    resolve ~final:false;
+    resolve ~final:false ~cut:false;
     !pending = []
   in
+  let timed_out = ref false in
   let run () =
-    ignore
-      (Engine.run ~pool:t.pool ~handle:snapshot
-         ~schedule:t.config.Config.schedule ~pq ~edge_fn ~stop ~on_round
-         ?deadline:(run_deadline members) ())
+    let stats =
+      Engine.run ~pool:t.pool ~handle:snapshot
+        ~schedule:t.config.Config.schedule ~pq ~edge_fn ~stop ~on_round
+        ?deadline:(run_deadline members) ()
+    in
+    timed_out := stats.Ordered.Stats.timed_out
   in
   Span.with_ "service.batch" (fun () ->
       with_batch_context t ~batch_trace members run);
   Metrics.observe t.h_batch_run (Unix.gettimeofday () -. start);
-  (* Queue exhausted (or run-level deadline): whatever is left is final —
-     for monotone queries the vector now holds the true values, or the
-     best bounds the deadline allowed. *)
-  resolve ~final:true
+  (* Whatever is left resolves now. If the queue ran dry, the vector
+     holds the true values. If the run-level deadline stopped the engine,
+     it holds the best bounds the deadline allowed: the engine checks the
+     deadline after [stop], so a member whose deadline expired between
+     the two checks is still pending here and must be partial, not ok. *)
+  resolve ~final:(not !timed_out) ~cut:!timed_out
 
 let run_sssp_group t ~source members =
   with_snapshot t (fun snapshot ->

@@ -125,6 +125,47 @@ let test_percentile_empty () =
   Alcotest.(check (float 0.)) "empty histogram percentile" 0.
     (Metrics.percentile_ns summary 0.5)
 
+(* The file [ordered_serve --metrics-out] writes and the [metrics] object
+   of the service's [stats] reply: the documented shape, exact values,
+   and a text form that parses back. Durations are powers of two of a
+   second so their nanosecond counts are exact. *)
+let test_metrics_json () =
+  let reg = Metrics.create () in
+  Metrics.incr (Metrics.counter reg "test.queries") ~tid:0 ~by:3 ();
+  ignore (Metrics.counter reg "test.idle");
+  let h = Metrics.histogram reg "test.wait" in
+  Metrics.observe h 0.5;
+  Metrics.observe h 0.25;
+  let json = Metrics.to_json (Metrics.snapshot reg) in
+  let path keys =
+    List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some json) keys
+  in
+  let int_at keys =
+    match path keys with Some (Json.Int n) -> Some n | _ -> None
+  in
+  Alcotest.(check (option int)) "counter" (Some 3)
+    (int_at [ "counters"; "test.queries" ]);
+  Alcotest.(check (option int)) "idle counter is exported as 0" (Some 0)
+    (int_at [ "counters"; "test.idle" ]);
+  List.iter
+    (fun (field, v) ->
+      Alcotest.(check (option int)) field (Some v)
+        (int_at [ "histograms"; "test.wait"; field ]))
+    [
+      ("count", 2);
+      ("total_ns", 750_000_000);
+      ("min_ns", 250_000_000);
+      ("max_ns", 500_000_000);
+    ];
+  (* 2.5e8 has 28 significant bits, 5e8 has 29. *)
+  Alcotest.(check (option string)) "buckets are [exponent, count] pairs"
+    (Some "[[28,1],[29,1]]")
+    (Option.map Json.to_string (path [ "histograms"; "test.wait"; "buckets" ]));
+  match Json.of_string (Json.to_string json) with
+  | Ok back ->
+      Alcotest.(check bool) "to_string parses back" true (Json.equal json back)
+  | Error e -> Alcotest.failf "metrics json does not parse: %s" e
+
 (* ------------------------------------------------------------------ *)
 (* Log: structured JSONL events                                         *)
 
@@ -694,6 +735,11 @@ let () =
           Alcotest.test_case "empty percentile" `Quick test_percentile_empty;
           QCheck_alcotest.to_alcotest qcheck_percentile_buckets;
         ] );
+      (* Alcotest truncates a test name to the width left after the
+         longest group label; this group's 11 characters keep the names
+         the suite prints for its other groups as they were. *)
+      ( "metrics_out",
+        [ Alcotest.test_case "snapshot json shape" `Quick test_metrics_json ] );
       ( "log",
         [
           Alcotest.test_case "round-trip" `Quick test_log_roundtrip;
